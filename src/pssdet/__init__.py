@@ -47,15 +47,11 @@ from .correlator import (
 from .channel import (
     ChannelScenario,
     RxStream,
-    apply_channel,
     doppler_hz,
     embed_pss_in_halfframe,
     merge_taps,
-    normalized_cfo,
     read_stream,
     tu6_profile,
-    tu6_scenario,
-    upsample_by_2,
     write_stream,
 )
 from .detector import (
@@ -74,7 +70,6 @@ from .detector import (
     median_time_ci,
     pmd_crossing_db,
     pmd_experiment,
-    prepare_engine,
     wilson_ci,
 )
 
@@ -104,7 +99,6 @@ __all__ = [
     "acquisition_cdf",
     "acquisition_experiment",
     "add_cyclic_prefix",
-    "apply_channel",
     "bench_ops",
     "calibrate_threshold",
     "calibrate_thresholds",
@@ -122,18 +116,14 @@ __all__ = [
     "merge_taps",
     "mf_correlate",
     "mf_correlate_optimized",
-    "normalized_cfo",
     "pmd_crossing_db",
     "pmd_experiment",
-    "prepare_engine",
     "pss_time_domain",
     "read_iq",
     "read_stream",
     "read_waveform_csv",
     "save_table",
     "tu6_profile",
-    "tu6_scenario",
-    "upsample_by_2",
     "wilson_ci",
     "write_iq",
     "write_stream",

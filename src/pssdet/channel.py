@@ -6,10 +6,8 @@ streams are synthesized as r(n) = e^{j 2 pi f n / fs} * sum_m h_m(n)
 s(n - theta - d_m) + z(n) with integer tap delays d_m on the sampling
 grid and circularly symmetric Gaussian noise z.
 
-Two noise conventions coexist deliberately.  apply_channel scales the
-noise to the measured signal power, which is what a one-shot SNR sweep
-expects.  embed_pss_in_halfframe instead fixes the noise floor at unit
-variance and scales the signal amplitude, so that a detection
+embed_pss_in_halfframe fixes the noise floor at unit variance and
+scales the signal amplitude to the requested SNR, so that a detection
 threshold calibrated once on noise-only streams stays valid across
 every SNR point of a Monte Carlo run.
 """
@@ -49,8 +47,9 @@ class ChannelScenario:
 
     ``taps`` are (delay_samples, mean_power_db) pairs with non-negative
     strictly increasing integer delays; the linear powers are
-    renormalized to sum to one at construction.  ``snr_db`` may be
-    +inf for noiseless runs.  ``timing_offset`` is theta in samples.
+    renormalized to sum to one at construction.  ``snr_db`` must be
+    finite, or +inf for noiseless runs; ``cfo_ppm`` and ``doppler_hz``
+    must be finite.  ``timing_offset`` is theta in samples.
     """
 
     taps: tuple = ((0, 0.0),)
@@ -71,6 +70,13 @@ class ChannelScenario:
         if delays[0] < 0 or any(b <= a for a, b in zip(delays, delays[1:])):
             raise ValueError(
                 f"tap delays must be non-negative and strictly increasing, got {delays}"
+            )
+        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
+            raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
+        if not (np.isfinite(self.cfo_ppm) and np.isfinite(self.doppler_hz)):
+            raise ValueError(
+                f"cfo_ppm and doppler_hz must be finite, "
+                f"got {self.cfo_ppm} and {self.doppler_hz}"
             )
         if self.fading not in FADING_MODES:
             raise ValueError(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
@@ -103,11 +109,6 @@ class ChannelScenario:
         return int(round(self.sample_rate_hz * HALF_FRAME_SEC))
 
 
-def normalized_cfo(scenario: ChannelScenario, size_n: int) -> float:
-    """CFO as a fraction of subcarrier spacing: eps = N * Ts * f_cfo."""
-    return size_n * scenario.cfo_hz / scenario.sample_rate_hz
-
-
 def tu6_profile(sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> tuple:
     """COST 207 TU delays quantized to the sampling grid, powers in dB.
 
@@ -129,12 +130,6 @@ def merge_taps(taps) -> tuple:
     return tuple(
         (d, float(10.0 * np.log10(acc[d]))) for d in sorted(acc)
     )
-
-
-def tu6_scenario(**kwargs) -> ChannelScenario:
-    """A ChannelScenario on the merged TU6 profile."""
-    fs = kwargs.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ)
-    return ChannelScenario(taps=merge_taps(tu6_profile(fs)), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -176,66 +171,6 @@ class _JakesProcess:
         return self.amp * np.exp(
             1j * (np.outer(n, self.omega) + self.phase)
         ).sum(axis=1)
-
-
-def apply_channel(
-    tx: np.ndarray,
-    scenario: ChannelScenario,
-    out_len: int | None = None,
-    true_root: int | None = None,
-) -> RxStream:
-    """Push one transmit burst through the scenario channel.
-
-    The burst lands at timing_offset; the output, of length
-    len(tx) + timing_offset + max_delay unless overridden, carries the
-    CFO phase ramp on the signal and noise sized so that the mean
-    signal power over the burst span divided by the noise variance is
-    10^(snr_db / 10).  Draw order from scenario.seed is fixed: fading
-    gains first, then noise.
-    """
-    tx = np.asarray(tx, dtype=complex)
-    rng = np.random.default_rng(scenario.seed)
-    theta = scenario.timing_offset
-    delays = scenario.delays
-    length = out_len or (len(tx) + theta + int(delays.max()))
-    sig = np.zeros(length, dtype=complex)
-
-    if scenario.fading == "rayleigh_jakes":
-        procs = [
-            _JakesProcess(p, scenario.doppler_hz, scenario.sample_rate_hz, rng)
-            for p in scenario.linear_powers
-        ]
-        for d, proc in zip(delays, procs):
-            start = theta + int(d)
-            stop = min(start + len(tx), length)
-            idx = np.arange(start, stop)
-            sig[start:stop] += proc.at(idx) * tx[: stop - start]
-    else:
-        gains = _tap_gains(scenario, rng, len(delays))
-        for d, g in zip(delays, gains):
-            start = theta + int(d)
-            stop = min(start + len(tx), length)
-            sig[start:stop] += g * tx[: stop - start]
-
-    if scenario.cfo_ppm:
-        n = np.arange(length)
-        sig *= np.exp(2j * np.pi * scenario.cfo_hz * n / scenario.sample_rate_hz)
-
-    samples = sig
-    if np.isfinite(scenario.snr_db):
-        span = slice(theta, min(theta + len(tx) + int(delays.max()), length))
-        p_sig = float(np.mean(np.abs(sig[span]) ** 2))
-        sigma2 = p_sig / 10.0 ** (scenario.snr_db / 10.0)
-        noise = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        samples = sig + np.sqrt(sigma2 / 2.0) * noise
-
-    return RxStream(
-        samples=samples,
-        sample_rate_hz=scenario.sample_rate_hz,
-        true_root=true_root,
-        pss_starts=np.array([theta], dtype=np.int64),
-        half_frame_len=None,
-    )
 
 
 def embed_pss_in_halfframe(w, scenario: ChannelScenario, frame_count: int = 1) -> RxStream:
@@ -312,22 +247,6 @@ def embed_pss_in_halfframe(w, scenario: ChannelScenario, frame_count: int = 1) -
         pss_starts=starts,
         half_frame_len=hf,
     )
-
-
-def upsample_by_2(r: np.ndarray) -> np.ndarray:
-    """Double the rate: copy originals, midpoint-interpolate between.
-
-    out[2n] = r[n], out[2n+1] = (r[n] + r[n+1]) / 2, and the final odd
-    sample repeats the last input.  [0, 2] becomes [0, 1, 2, 2].
-    """
-    r = np.asarray(r)
-    if len(r) == 0:
-        raise ValueError("cannot upsample an empty buffer")
-    out = np.empty(2 * len(r), dtype=r.dtype)
-    out[0::2] = r
-    out[1:-1:2] = (r[:-1] + r[1:]) / 2
-    out[-1] = r[-1]
-    return out
 
 
 # ---------------------------------------------------------------------------

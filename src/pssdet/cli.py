@@ -30,9 +30,9 @@ from .detector import (
     acquisition_cdf,
     acquisition_experiment,
     calibrate_threshold,
+    calibrate_thresholds,
     detect,
     pmd_experiment,
-    prepare_engine,
 )
 from .correlator import bench_ops
 from .pss import (
@@ -246,14 +246,12 @@ def cmd_calibrate(args) -> int:
     resolved = _resolve(args, defaults)
     configs = parse_engines(resolved["engines"])
     out_dir = resolved["output_dir"]
-    table = {}
+    table = calibrate_thresholds(
+        configs, pfa=resolved["pfa"], trials=resolved["trials"],
+        seed=resolved["seed"], jobs=resolved["jobs"],
+    )
     for config in configs:
-        lam = calibrate_threshold(
-            config, pfa=resolved["pfa"], trials=resolved["trials"],
-            seed=resolved["seed"], jobs=resolved["jobs"],
-        )
-        table[config.key] = lam
-        print(f"{config.key}: threshold {lam!r}")
+        print(f"{config.key}: threshold {table[config.key]!r}")
     _write_json(os.path.join(out_dir, "thresholds.json"), table)
     _manifest(out_dir, "calibrate", resolved)
     print(f"wrote {os.path.join(out_dir, 'thresholds.json')}")
@@ -267,7 +265,7 @@ def cmd_detect(args) -> int:
         lam = args.threshold
     else:
         lam = calibrate_threshold(config, trials=args.cal_trials, seed=args.seed)
-    res = detect(stream, prepare_engine(config), lam)
+    res = detect(stream, config, lam)
     out = {
         "engine": res.engine_key, "detected": res.detected, "root": res.root,
         "lag": res.lag, "metric": res.metric, "threshold": res.threshold,
@@ -367,7 +365,6 @@ def cmd_bench_ops(args) -> int:
         rows.append(bench_ops(
             config.kind, oversample=config.oversample,
             num_clusters=config.num_clusters,
-            architecture=config.architecture,
             probe_lags=args.probe_lags,
         ))
     text = json.dumps(rows, indent=2)

@@ -14,12 +14,13 @@ PSS bodies for the matched filters, the conjugated cluster-quantized
 templates for the clustered engine (the per-cluster sums times the
 conjugated means telescope to exactly that product).  The simulation
 therefore evaluates all engines through one shared window matrix and
-a single matrix product per stream, while operation counts are booked
-per architecture: brute, symmetry-folded with conjugate-root sharing,
-or K-term clustered accumulation.  The architecture implementations
-in :mod:`pssdet.correlator` are verified against these products in
-their own tests; rerunning them per trial would only slow the Monte
-Carlo down without changing any decision.
+a single matrix product per stream (:class:`BatchEvaluator`, also
+behind :func:`detect`).  Operation counts are booked only in
+:mod:`pssdet.correlator`, per architecture: brute, symmetry-folded
+with conjugate-root sharing, or K-term clustered accumulation.  Those
+architecture implementations are verified against these products in
+the tests; rerunning them per trial would only slow the Monte Carlo
+down without changing any decision.
 
 Thresholds are constant-false-alarm: the (1 - Pfa) quantile of the
 per-attempt maximum metric over noise-only half frames, stored per
@@ -33,6 +34,7 @@ experiment point strides its base by 10**6 so points never overlap.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ import numpy as np
 from . import channel as ch
 from .channel import ChannelScenario, RxStream, embed_pss_in_halfframe
 from .clustering import ClusterTable, conjugate_table, kmeans_cluster
-from .correlator import ARCHITECTURES, OpCount, _magnitude_sq, _windows
+from .correlator import _magnitude_sq, _windows
 from .pss import PSS_ROOTS, add_cyclic_prefix, pss_time_domain
 
 ENGINE_KINDS = ("mf_brute", "mf_opt", "cluster")
@@ -65,7 +67,6 @@ class EngineConfig:
     kind: str
     oversample: int = 2
     num_clusters: int | None = None
-    architecture: str = "lut_steering"
 
     def __post_init__(self):
         if self.kind not in ENGINE_KINDS:
@@ -77,11 +78,6 @@ class EngineConfig:
                 raise ValueError("cluster engine needs num_clusters >= 1")
         elif self.num_clusters is not None:
             raise ValueError(f"{self.kind} takes no num_clusters")
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(
-                f"architecture must be one of {ARCHITECTURES}, "
-                f"got {self.architecture!r}"
-            )
 
     @property
     def size_n(self) -> int:
@@ -117,63 +113,18 @@ class PreparedEngine:
     def decimation(self) -> int:
         return 2 if self.config.oversample == 1 else 1
 
-    def capture(self, native_samples: np.ndarray) -> np.ndarray:
-        """The samples this engine's front end actually sees."""
-        return native_samples[:: self.decimation]
-
-    def op_count(self, lags: int) -> OpCount:
-        """Operations the configured architecture spends on ``lags``
-        detection attempts covering all three roots."""
-        cfg = self.config
-        n = cfg.size_n
-        if cfg.kind == "mf_brute":
-            return OpCount(
-                complex_mults=3 * (lags * n + lags),
-                complex_adds=3 * lags * (n - 1),
-                real_ops=3 * lags,
-            )
-        if cfg.kind == "mf_opt":
-            half = n // 2
-            return OpCount(
-                complex_mults=lags * 2 * (half + 1),
-                complex_adds=lags * ((half - 1) + 3 * half),
-                real_ops=lags * 3,
-            )
-        k = cfg.num_clusters
-        return OpCount(
-            complex_mults=3 * lags * k,
-            complex_adds=3 * lags * ((n - k) + (k - 1)),
-            real_ops=3 * lags,
-            data_moves=3 * lags * n if cfg.architecture == "shift_register" else 0,
-        )
-
-    def metrics(self, native_samples: np.ndarray):
-        """Metric values per (lag, root) plus the operation count."""
-        buf = self.capture(native_samples)
-        w = np.ascontiguousarray(_windows(buf, self.config.size_n, "sliding"))
-        values = _magnitude_sq(w @ self.coef)
-        return values, self.op_count(values.shape[0])
-
-
-def prepare_engine(config: EngineConfig) -> PreparedEngine:
-    return PreparedEngine(config)
-
 
 class BatchEvaluator:
     """Shared-window metric evaluation for several engines at once.
 
     Engines at the same oversample factor see identical windows, so
     their coefficient columns stack into one matrix product per
-    stream.  Detection decisions are identical to running each engine
-    alone; raw metric values may differ from the single-engine path at
-    the matrix-blocking rounding level, never more.
+    stream.  Raw metric values may differ between batches of different
+    composition at the matrix-blocking rounding level, never more.
     """
 
-    def __init__(self, engines):
-        self.engines = [
-            e if isinstance(e, PreparedEngine) else PreparedEngine(e)
-            for e in engines
-        ]
+    def __init__(self, configs):
+        self.engines = [PreparedEngine(c) for c in configs]
         self._groups = []
         for decim in (1, 2):
             members = [
@@ -184,17 +135,24 @@ class BatchEvaluator:
                 size_n = members[0][1].config.size_n
                 self._groups.append((decim, size_n, [i for i, _ in members], coef))
 
-    def peaks(self, native_samples: np.ndarray):
-        """Per engine: (metric, lag on the engine grid, root index)."""
+    def metric_values(self, native_samples: np.ndarray):
+        """Per engine: metric values per (lag on the engine grid, root)."""
         out = [None] * len(self.engines)
         for decim, size_n, idx, coef in self._groups:
-            buf = native_samples[::decim]
-            w = np.ascontiguousarray(_windows(buf, size_n, "sliding"))
-            values = _magnitude_sq(w @ coef)
+            # The contiguous window copy is the largest array here; as a
+            # temporary it is freed before the next group builds its own.
+            w = _windows(native_samples[::decim], size_n, "sliding")
+            values = _magnitude_sq(np.ascontiguousarray(w) @ coef)
             for j, i in enumerate(idx):
-                block = values[:, 3 * j: 3 * j + 3]
-                lag, root_idx = divmod(int(np.argmax(block)), 3)
-                out[i] = (float(block[lag, root_idx]), lag, root_idx)
+                out[i] = values[:, 3 * j: 3 * j + 3]
+        return out
+
+    def peaks(self, native_samples: np.ndarray):
+        """Per engine: (metric, lag on the engine grid, root index)."""
+        out = []
+        for values in self.metric_values(native_samples):
+            lag, root_idx = divmod(int(np.argmax(values)), 3)
+            out.append((float(values[lag, root_idx]), lag, root_idx))
         return out
 
 
@@ -218,33 +176,32 @@ class DetectionResult:
     correct: bool | None
 
 
-def detect(
-    stream: RxStream,
-    engine: PreparedEngine | EngineConfig,
-    threshold: float,
-) -> DetectionResult:
+def detect(stream: RxStream, config: EngineConfig, threshold: float) -> DetectionResult:
     """One detection attempt over everything the stream holds.
 
-    The global maximum of the metric over all lags and the three roots
-    is compared against the threshold.  When the stream carries ground
-    truth, ``correct`` additionally requires the winning root to match
-    and the winning lag to fall within the engine's tolerance of the
-    nearest true body start (converted to the engine's sample grid).
+    The stream must be at the native 1.92 MHz rate.  The global maximum
+    of the metric over all lags and the three roots is compared against
+    the threshold.  When the stream carries ground truth, ``correct``
+    additionally requires the winning root to match and the winning lag
+    to fall within the engine's tolerance of the nearest true body
+    start (converted to the engine's sample grid).
     """
-    if isinstance(engine, EngineConfig):
-        engine = prepare_engine(engine)
-    values, _ = engine.metrics(stream.samples)
-    lag, root_idx = divmod(int(np.argmax(values)), values.shape[1])
-    metric = float(values[lag, root_idx])
-    detected = metric > threshold
+    if stream.sample_rate_hz != NATIVE_SAMPLE_RATE_HZ:
+        raise ValueError(
+            f"detect needs a {NATIVE_SAMPLE_RATE_HZ:g} Hz stream, "
+            f"got {stream.sample_rate_hz:g} Hz"
+        )
+    batch = _cached_batch((config,))
+    peak = batch.peaks(stream.samples)[0]
+    metric, lag, root_idx = peak
 
     correct = None
     if stream.true_root is not None and len(stream.pss_starts):
-        correct = _score((metric, lag, root_idx), engine, threshold, stream)
+        correct = _score(peak, batch.engines[0], threshold, stream)
 
     return DetectionResult(
-        engine_key=engine.config.key,
-        detected=detected,
+        engine_key=config.key,
+        detected=metric > threshold,
         root=PSS_ROOTS[root_idx],
         lag=int(lag),
         metric=metric,
@@ -294,9 +251,7 @@ def calibrate_thresholds(
         raise ValueError(f"pfa must lie in (0, 1), got {pfa}")
     if trials < 100:
         raise ValueError("calibration needs at least 100 trials")
-    configs = tuple(
-        e.config if isinstance(e, PreparedEngine) else e for e in engines
-    )
+    configs = tuple(engines)
     length = stream_len or int(round(NATIVE_SAMPLE_RATE_HZ * ch.HALF_FRAME_SEC))
     payload = (configs, length, noise_variance, seed)
     maxima = np.concatenate(_chunked(_calibrate_chunk, trials, jobs, payload))
@@ -305,7 +260,7 @@ def calibrate_thresholds(
 
 
 def calibrate_threshold(
-    engine: PreparedEngine | EngineConfig,
+    engine: EngineConfig,
     pfa: float = DEFAULT_PFA,
     trials: int = 2000,
     seed: int = 0,
@@ -407,7 +362,7 @@ def pmd_experiment(
     if it is correct: above threshold, right root, timing within
     tolerance.  Thresholds are calibrated here unless supplied.
     """
-    configs = [e.config if isinstance(e, PreparedEngine) else e for e in engines]
+    configs = list(engines)
     if thresholds is None:
         thresholds = calibrate_thresholds(
             configs, pfa=pfa, trials=calibration_trials,
@@ -469,39 +424,33 @@ def _acq_chunk(start, stop, payload):
     batch = _cached_batch(configs)
     tx = add_cyclic_prefix(pss_time_domain(root, 128))
     hf = int(round(NATIVE_SAMPLE_RATE_HZ * ch.HALF_FRAME_SEC))
-    max_delay = max(d for d, _ in taps)
     rows = []
     for t in range(start, stop):
         rng = np.random.default_rng(base_seed + t)
-        theta = int(rng.integers(0, hf - len(tx.samples) - max_delay + 1))
+        scen = _trial_scenario(rng, snr_db, taps, fading, cfo_ppm, doppler,
+                               len(tx.samples))
         done = [0] * len(configs)
 
         if fading == "rayleigh_jakes":
             # One continuous stream per trial keeps the Doppler process
             # correlated across half frames.
-            scen = ChannelScenario(
-                taps=taps, fading=fading, snr_db=snr_db, cfo_ppm=cfo_ppm,
-                doppler_hz=doppler, timing_offset=theta,
-                seed=int(rng.integers(0, 2**63)),
-            )
             full = embed_pss_in_halfframe(tx, scen, frame_count=max_hf)
 
             def frame(i):
-                return RxStream(
-                    samples=full.samples[i * hf: (i + 1) * hf],
-                    sample_rate_hz=full.sample_rate_hz,
-                    true_root=full.true_root,
-                    pss_starts=np.array([theta + tx.cp_len], dtype=np.int64),
-                    half_frame_len=hf,
+                return dataclasses.replace(
+                    full, samples=full.samples[i * hf: (i + 1) * hf],
+                    pss_starts=full.pss_starts[:1],
                 )
         else:
             def frame(i):
-                scen = ChannelScenario(
-                    taps=taps, fading=fading, snr_db=snr_db, cfo_ppm=cfo_ppm,
-                    doppler_hz=doppler, timing_offset=theta,
-                    seed=int(rng.integers(0, 2**63)),
+                if i == 0:
+                    return embed_pss_in_halfframe(tx, scen)
+                # Rebuilt from the given taps: renormalizing the already
+                # normalized powers can move them by an ulp.
+                fresh = dataclasses.replace(
+                    scen, taps=taps, seed=int(rng.integers(0, 2**63))
                 )
-                return embed_pss_in_halfframe(tx, scen)
+                return embed_pss_in_halfframe(tx, fresh)
 
         for i in range(max_hf):
             if all(done):
@@ -544,10 +493,12 @@ def acquisition_experiment(
     reached (censored trials keep the cap as their time).  All engines
     see the same streams, so acquisition times are paired.
     """
-    configs = [e.config if isinstance(e, PreparedEngine) else e for e in engines]
+    configs = list(engines)
     taps = tuple(taps) if taps is not None else ch.merge_taps(ch.tu6_profile())
     if fading == "rayleigh_jakes" and doppler_hz <= 0:
         raise ValueError("rayleigh_jakes fading needs doppler_hz > 0")
+    if max_half_frames < 1:
+        raise ValueError("max_half_frames must be at least 1")
     if thresholds is None:
         thresholds = calibrate_thresholds(
             configs, pfa=pfa, trials=calibration_trials,

@@ -11,6 +11,7 @@ from pssdet import (
     EngineConfig,
     add_cyclic_prefix,
     bench_ops,
+    calibrate_thresholds,
     embed_pss_in_halfframe,
     kmeans_cluster,
     load_table,
@@ -156,6 +157,18 @@ def test_calibrate_rerun_is_byte_identical(tmp_path, capsys):
     assert ma == mb
 
 
+def test_calibrate_matches_library_call(tmp_path, capsys):
+    specs = "mf_opt:os1,mf_opt:os2,cluster:k6:os2,cluster:k16:os2"
+    assert main(["calibrate", "--engines", specs, "--trials", "120",
+                 "--seed", "4", "--pfa", "0.2",
+                 "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = json.load(open(tmp_path / "thresholds.json"))
+    direct = calibrate_thresholds(parse_engines(specs), pfa=0.2, trials=120,
+                                  seed=4)
+    assert written == direct
+
+
 @pytest.fixture()
 def stored_stream(tmp_path):
     tx = add_cyclic_prefix(pss_time_domain(25, 128))
@@ -177,6 +190,17 @@ def test_detect_command(stored_stream, tmp_path, capsys):
     assert res["correct"] is True
     assert res["root"] == 25
     assert json.load(open(out)) == res
+
+
+def test_detect_command_rejects_other_sample_rates(stored_stream, capsys):
+    side = stored_stream + ".json"
+    meta = json.load(open(side))
+    meta["sample_rate_hz"] = 30.72e6
+    with open(side, "w") as f:
+        json.dump(meta, f)
+    assert main(["detect", "--stream", stored_stream,
+                 "--engine", "mf_opt:os2", "--threshold", "6.0"]) == 1
+    assert "Hz" in capsys.readouterr().err
 
 
 def test_detect_command_self_calibrates(stored_stream, capsys):
@@ -283,6 +307,16 @@ def test_acq_command(tmp_path, thresholds_file, capsys):
     assert cdf[0] == "engine,k,oversample,ppm,time_ms,cdf"
     assert len(cdf) == 5
     assert json.load(open(tmp_path / "manifest.json"))["command"] == "acq"
+
+
+def test_acq_rejects_empty_cap(tmp_path, thresholds_file, capsys):
+    args = ["acq", "--engines", "mf_opt:os2", "--trials", "2",
+            "--max-half-frames", "0", "--profile", "awgn",
+            "--fading", "static", "--thresholds", thresholds_file,
+            "--output-dir", str(tmp_path)]
+    assert main(args) == 1
+    assert "max_half_frames" in capsys.readouterr().err
+    assert not (tmp_path / "acq_results.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,10 @@ from pssdet import (
     pmd_crossing_db,
     pmd_experiment,
     pss_time_domain,
-    prepare_engine,
     wilson_ci,
 )
-from pssdet.detector import PmdPoint, _score, _trial_scenario
-from pssdet.channel import HALF_FRAME_SEC, NOISE_FLOOR_VARIANCE
+from pssdet.detector import PmdPoint, PreparedEngine, _score, _trial_scenario
+from pssdet.channel import HALF_FRAME_SEC, NOISE_FLOOR_VARIANCE, RxStream
 
 
 def noise(rng, length, variance=1.0):
@@ -57,83 +56,75 @@ def test_engine_config_validation():
         EngineConfig("cluster", num_clusters=0)
     with pytest.raises(ValueError):
         EngineConfig("mf_opt", num_clusters=8)
-    with pytest.raises(ValueError):
-        EngineConfig("cluster", num_clusters=8, architecture="systolic")
 
 
 def test_capture_decimation():
+    # The 1x front end keeps the even native samples only.
     rng = np.random.default_rng(0)
-    r = noise(rng, 100)
-    half_rate = prepare_engine(EngineConfig("mf_opt", oversample=1))
-    full_rate = prepare_engine(EngineConfig("mf_opt", oversample=2))
-    np.testing.assert_array_equal(half_rate.capture(r), r[0::2])
-    np.testing.assert_array_equal(full_rate.capture(r), r)
+    r = noise(rng, 400)
+    odd_changed = r.copy()
+    odd_changed[1::2] = noise(rng, 200)
+    batch = BatchEvaluator([EngineConfig("mf_opt", oversample=1),
+                            EngineConfig("mf_opt", oversample=2)])
+    half_a, full_a = batch.metric_values(r)
+    half_b, full_b = batch.metric_values(odd_changed)
+    assert half_a.shape == (200 - 64 + 1, 3)
+    assert full_a.shape == (400 - 128 + 1, 3)
+    np.testing.assert_array_equal(half_a, half_b)
+    assert not np.allclose(full_a, full_b)
 
 
 # ---------------------------------------------------------------------------
-# Engine metrics against the reference correlators.
+# Batch metrics against the reference correlators, at both rates.
 # ---------------------------------------------------------------------------
+
+def _one_engine_values(config, r):
+    batch = BatchEvaluator([config])
+    return batch.engines[0], batch.metric_values(r)[0]
+
 
 def test_mf_engine_matches_reference_trace():
     rng = np.random.default_rng(1)
     r = noise(rng, 600)
-    engine = prepare_engine(EngineConfig("mf_brute", oversample=2))
-    values, _ = engine.metrics(r)
-    for col, w in enumerate(engine.waveforms):
-        trace, _ = mf_correlate(r, w, "sliding")
-        np.testing.assert_allclose(values[:, col], trace.values, rtol=1e-10)
+    for oversample in (1, 2):
+        engine, values = _one_engine_values(
+            EngineConfig("mf_brute", oversample=oversample), r)
+        for col, w in enumerate(engine.waveforms):
+            trace, _ = mf_correlate(r[::engine.decimation], w, "sliding")
+            np.testing.assert_allclose(values[:, col], trace.values, rtol=1e-10)
 
 
 def test_optimized_engine_matches_folded_reference():
     rng = np.random.default_rng(2)
     r = noise(rng, 600)
-    engine = prepare_engine(EngineConfig("mf_opt", oversample=2))
-    values, _ = engine.metrics(r)
-    traces, _ = mf_correlate_optimized(r, engine.waveforms, "sliding")
-    for col in range(3):
-        np.testing.assert_allclose(values[:, col], traces[col].values,
-                                   rtol=1e-10)
+    for oversample in (1, 2):
+        engine, values = _one_engine_values(
+            EngineConfig("mf_opt", oversample=oversample), r)
+        traces, _ = mf_correlate_optimized(r[::engine.decimation],
+                                           engine.waveforms, "sliding")
+        for col in range(3):
+            np.testing.assert_allclose(values[:, col], traces[col].values,
+                                       rtol=1e-10)
 
 
 @pytest.mark.parametrize("arch", ["lut_steering", "shift_register"])
 def test_cluster_engine_matches_both_architectures(arch):
     rng = np.random.default_rng(3)
     r = noise(rng, 500)
-    engine = prepare_engine(
-        EngineConfig("cluster", num_clusters=8, architecture=arch)
-    )
-    values, _ = engine.metrics(r)
-    for col, table in enumerate(engine.tables):
-        trace, _ = cluster_correlate(r, table, "sliding", architecture=arch)
-        np.testing.assert_allclose(values[:, col], trace.values, rtol=1e-10)
+    for oversample in (1, 2):
+        engine, values = _one_engine_values(
+            EngineConfig("cluster", num_clusters=8, oversample=oversample), r)
+        for col, table in enumerate(engine.tables):
+            trace, _ = cluster_correlate(r[::engine.decimation], table,
+                                         "sliding", architecture=arch)
+            np.testing.assert_allclose(values[:, col], trace.values, rtol=1e-10)
 
 
 def test_half_rate_cluster_engine_uses_small_grid():
-    engine = prepare_engine(EngineConfig("cluster", num_clusters=6, oversample=1))
+    engine = PreparedEngine(EngineConfig("cluster", num_clusters=6, oversample=1))
     assert engine.coef.shape == (64, 3)
     assert all(t.size_n == 64 for t in engine.tables)
     assert all(t.num_clusters == 6 for t in engine.tables)
-
-
-def test_op_count_formulas():
-    lags, n = 10, 128
-    brute = prepare_engine(EngineConfig("mf_brute")).op_count(lags)
-    assert brute.complex_mults == 3 * (lags * n + lags)
-    assert brute.complex_adds == 3 * lags * (n - 1)
-
-    opt = prepare_engine(EngineConfig("mf_opt")).op_count(lags)
-    assert opt.complex_mults == lags * 2 * (n // 2 + 1)
-    assert opt.complex_adds == lags * ((n // 2 - 1) + 3 * (n // 2))
-
-    clus = prepare_engine(EngineConfig("cluster", num_clusters=16)).op_count(lags)
-    assert clus.complex_mults == 3 * lags * 16
-    assert clus.complex_adds == 3 * lags * ((n - 16) + 15)
-    assert clus.data_moves == 0
-
-    shift = prepare_engine(
-        EngineConfig("cluster", num_clusters=16, architecture="shift_register")
-    ).op_count(lags)
-    assert shift.data_moves == 3 * lags * n
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +144,7 @@ def test_batch_peaks_match_single_engine_metrics():
         r = noise(rng, 2000)
         peaks = batch.peaks(r)
         for cfg, peak in zip(configs, peaks):
-            values, _ = prepare_engine(cfg).metrics(r)
+            _, values = _one_engine_values(cfg, r)
             lag, root_idx = divmod(int(np.argmax(values)), 3)
             assert peak[1] == lag
             assert peak[2] == root_idx
@@ -168,14 +159,14 @@ def test_batch_peaks_match_single_engine_metrics():
 def test_detect_clean_stream(oversample):
     tx = add_cyclic_prefix(pss_time_domain(29, 128))
     stream = embed_pss_in_halfframe(tx, ChannelScenario(timing_offset=643, seed=1))
-    engine = prepare_engine(EngineConfig("mf_opt", oversample=oversample))
     # A unit-gain noiseless burst peaks at the squared template energy,
     # (62/128)^2 at either rate.
-    result = detect(stream, engine, threshold=0.1)
+    config = EngineConfig("mf_opt", oversample=oversample)
+    result = detect(stream, config, threshold=0.1)
     assert result.detected
     assert result.correct
     assert result.root == 29
-    start = stream.pss_starts[0] / engine.decimation
+    start = stream.pss_starts[0] / PreparedEngine(config).decimation
     assert abs(result.lag - start) <= DETECT_TOLERANCE[oversample]
 
 
@@ -187,10 +178,19 @@ def test_detect_respects_threshold():
     assert result.correct is False
 
 
+def test_detect_rejects_other_sample_rates():
+    tx = add_cyclic_prefix(pss_time_domain(25, 128))
+    native = embed_pss_in_halfframe(tx, ChannelScenario(timing_offset=100, seed=2))
+    fast = RxStream(samples=native.samples, sample_rate_hz=30.72e6,
+                    true_root=25, pss_starts=native.pss_starts)
+    with pytest.raises(ValueError, match="Hz"):
+        detect(fast, EngineConfig("mf_opt"), threshold=0.1)
+
+
 def test_score_tolerance_edges():
     tx = add_cyclic_prefix(pss_time_domain(25, 128))
     stream = embed_pss_in_halfframe(tx, ChannelScenario(timing_offset=100, seed=3))
-    engine = prepare_engine(EngineConfig("mf_opt", oversample=2))
+    engine = PreparedEngine(EngineConfig("mf_opt", oversample=2))
     start = int(stream.pss_starts[0])
     tol = int(DETECT_TOLERANCE[2])
     assert _score((5.0, start + tol, 0), engine, 1.0, stream)
