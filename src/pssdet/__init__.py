@@ -47,11 +47,9 @@ from .correlator import (
 from .channel import (
     ChannelScenario,
     RxStream,
-    doppler_hz,
     embed_pss_in_halfframe,
     merge_taps,
     read_stream,
-    tu6_profile,
     write_stream,
 )
 from .detector import (
@@ -61,7 +59,6 @@ from .detector import (
     DetectionResult,
     EngineConfig,
     PmdPoint,
-    PreparedEngine,
     acquisition_cdf,
     acquisition_experiment,
     calibrate_threshold,
@@ -89,7 +86,6 @@ __all__ = [
     "MetricTrace",
     "OpCount",
     "PmdPoint",
-    "PreparedEngine",
     "PSS_ROOTS",
     "PssWaveform",
     "RxStream",
@@ -106,7 +102,6 @@ __all__ = [
     "conjugate_root",
     "conjugate_table",
     "detect",
-    "doppler_hz",
     "embed_pss_in_halfframe",
     "interference_term",
     "kmeans_cluster",
@@ -123,7 +118,6 @@ __all__ = [
     "read_stream",
     "read_waveform_csv",
     "save_table",
-    "tu6_profile",
     "wilson_ci",
     "write_iq",
     "write_stream",

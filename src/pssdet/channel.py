@@ -10,6 +10,9 @@ embed_pss_in_halfframe fixes the noise floor at unit variance and
 scales the signal amplitude to the requested SNR, so that a detection
 threshold calibrated once on noise-only streams stays valid across
 every SNR point of a Monte Carlo run.
+
+The rate (1.92 MHz, the only one the detector scores), the 2 GHz
+carrier behind ppm CFO values and the TU6 taps are constants.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ import numpy as np
 
 from .pss import read_iq, write_iq
 
-SPEED_OF_LIGHT = 299792458.0
 HALF_FRAME_SEC = 5e-3
-DEFAULT_SAMPLE_RATE_HZ = 1.92e6
-DEFAULT_CARRIER_HZ = 2e9
+SAMPLE_RATE_HZ = 1.92e6
+HALF_FRAME_LEN = int(round(SAMPLE_RATE_HZ * HALF_FRAME_SEC))
+CARRIER_HZ = 2e9
 NOISE_FLOOR_VARIANCE = 1.0
+# Above this the signal amplitude overflows or the metric turns NaN.
+MAX_SNR_DB = 300.0
 JAKES_RAYS = 16
 
 FADING_MODES = ("static", "rayleigh_block", "rayleigh_jakes")
@@ -36,11 +41,6 @@ TU6_DELAYS_US = (0.0, 0.2, 0.5, 1.6, 2.3, 5.0)
 TU6_POWERS_DB = (-3.0, 0.0, -2.0, -6.0, -8.0, -10.0)
 
 
-def doppler_hz(speed_kmh: float, carrier_hz: float = DEFAULT_CARRIER_HZ) -> float:
-    """Maximum Doppler shift for a given UE speed."""
-    return speed_kmh / 3.6 / SPEED_OF_LIGHT * carrier_hz
-
-
 @dataclass(frozen=True)
 class ChannelScenario:
     """One reproducible channel draw.
@@ -48,16 +48,15 @@ class ChannelScenario:
     ``taps`` are (delay_samples, mean_power_db) pairs with non-negative
     strictly increasing integer delays; the linear powers are
     renormalized to sum to one at construction.  ``snr_db`` must be
-    finite, or +inf for noiseless runs; ``cfo_ppm`` and ``doppler_hz``
-    must be finite.  ``timing_offset`` is theta in samples.
+    finite and at most MAX_SNR_DB, or +inf for noiseless runs;
+    ``cfo_ppm`` and ``doppler_hz`` must be finite.  ``timing_offset``
+    is theta in samples.
     """
 
     taps: tuple = ((0, 0.0),)
     fading: str = "static"
     snr_db: float = np.inf
     cfo_ppm: float = 0.0
-    carrier_hz: float = DEFAULT_CARRIER_HZ
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
     timing_offset: int = 0
     doppler_hz: float = 0.0
     seed: int = 0
@@ -71,8 +70,9 @@ class ChannelScenario:
             raise ValueError(
                 f"tap delays must be non-negative and strictly increasing, got {delays}"
             )
-        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
-            raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
+        if not (-np.inf < self.snr_db <= MAX_SNR_DB or self.snr_db == np.inf):
+            raise ValueError(f"snr_db must be finite and at most {MAX_SNR_DB:g}, "
+                             f"or +inf, got {self.snr_db}")
         if not (np.isfinite(self.cfo_ppm) and np.isfinite(self.doppler_hz)):
             raise ValueError(
                 f"cfo_ppm and doppler_hz must be finite, "
@@ -84,8 +84,6 @@ class ChannelScenario:
             raise ValueError("rayleigh_jakes fading needs doppler_hz > 0")
         if self.timing_offset < 0:
             raise ValueError("timing_offset must be non-negative")
-        if self.sample_rate_hz <= 0 or self.carrier_hz <= 0:
-            raise ValueError("sample_rate_hz and carrier_hz must be positive")
         linear = np.array([10.0 ** (p / 10.0) for _, p in taps])
         linear = linear / linear.sum()
         normalized = tuple(
@@ -103,23 +101,7 @@ class ChannelScenario:
 
     @property
     def cfo_hz(self) -> float:
-        return self.cfo_ppm * 1e-6 * self.carrier_hz
-
-    def half_frame_len(self) -> int:
-        return int(round(self.sample_rate_hz * HALF_FRAME_SEC))
-
-
-def tu6_profile(sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> tuple:
-    """COST 207 TU delays quantized to the sampling grid, powers in dB.
-
-    Returns all 6 taps.  At 1.92 MHz the first two delays land on the
-    same sample; merge_taps folds such collisions before a scenario is
-    built from the profile.
-    """
-    return tuple(
-        (int(round(d * 1e-6 * sample_rate_hz)), p)
-        for d, p in zip(TU6_DELAYS_US, TU6_POWERS_DB)
-    )
+        return self.cfo_ppm * 1e-6 * CARRIER_HZ
 
 
 def merge_taps(taps) -> tuple:
@@ -130,6 +112,14 @@ def merge_taps(taps) -> tuple:
     return tuple(
         (d, float(10.0 * np.log10(acc[d]))) for d in sorted(acc)
     )
+
+
+# COST 207 TU delays quantized to the 1.92 MHz grid, powers in dB.  The
+# first two delays land on the same sample and merge into one tap.
+TU6_TAPS = merge_taps(
+    (int(round(d * 1e-6 * SAMPLE_RATE_HZ)), p)
+    for d, p in zip(TU6_DELAYS_US, TU6_POWERS_DB)
+)
 
 
 @dataclass(frozen=True)
@@ -161,10 +151,10 @@ class _JakesProcess:
     at absolute sample indices so multi-frame runs stay continuous.
     """
 
-    def __init__(self, power, doppler, sample_rate, rng, rays=JAKES_RAYS):
+    def __init__(self, power, doppler, rng, rays=JAKES_RAYS):
         self.amp = np.sqrt(power / rays)
         self.omega = 2.0 * np.pi * doppler * np.cos(rng.uniform(0, 2 * np.pi, rays))
-        self.omega /= sample_rate
+        self.omega /= SAMPLE_RATE_HZ
         self.phase = rng.uniform(0, 2 * np.pi, rays)
 
     def at(self, n: np.ndarray) -> np.ndarray:
@@ -187,17 +177,16 @@ def embed_pss_in_halfframe(w, scenario: ChannelScenario, frame_count: int = 1) -
     """
     if frame_count < 1:
         raise ValueError("frame_count must be at least 1")
-    hf = scenario.half_frame_len()
     sym = np.asarray(w.samples, dtype=complex)
     theta = scenario.timing_offset
     max_delay = int(scenario.delays.max())
-    if theta + len(sym) + max_delay > hf:
+    if theta + len(sym) + max_delay > HALF_FRAME_LEN:
         raise ValueError(
             f"timing_offset {theta} leaves no room for the symbol in a "
-            f"{hf}-sample half frame"
+            f"{HALF_FRAME_LEN}-sample half frame"
         )
     rng = np.random.default_rng(scenario.seed)
-    length = hf * frame_count
+    length = HALF_FRAME_LEN * frame_count
 
     noiseless = not np.isfinite(scenario.snr_db)
     if noiseless:
@@ -217,13 +206,13 @@ def embed_pss_in_halfframe(w, scenario: ChannelScenario, frame_count: int = 1) -
     procs = None
     if scenario.fading == "rayleigh_jakes":
         procs = [
-            _JakesProcess(p, scenario.doppler_hz, scenario.sample_rate_hz, rng)
+            _JakesProcess(p, scenario.doppler_hz, rng)
             for p in scenario.linear_powers
         ]
 
     starts = np.empty(frame_count, dtype=np.int64)
     for i in range(frame_count):
-        base = i * hf + theta
+        base = i * HALF_FRAME_LEN + theta
         starts[i] = base + w.cp_len
         if procs is None:
             gains = _tap_gains(scenario, rng, len(delays))
@@ -236,16 +225,16 @@ def embed_pss_in_halfframe(w, scenario: ChannelScenario, frame_count: int = 1) -
                 contrib = procs[m].at(idx) * burst
             if f_cfo:
                 contrib = contrib * np.exp(
-                    2j * np.pi * f_cfo * idx / scenario.sample_rate_hz
+                    2j * np.pi * f_cfo * idx / SAMPLE_RATE_HZ
                 )
             stream[lo: lo + len(burst)] += contrib
 
     return RxStream(
         samples=stream,
-        sample_rate_hz=scenario.sample_rate_hz,
+        sample_rate_hz=SAMPLE_RATE_HZ,
         true_root=w.root,
         pss_starts=starts,
-        half_frame_len=hf,
+        half_frame_len=HALF_FRAME_LEN,
     )
 
 
@@ -282,4 +271,4 @@ def read_stream(iq_path) -> RxStream:
             pss_starts=np.asarray(meta["pss_starts"], dtype=np.int64),
             half_frame_len=meta["half_frame_len"],
         )
-    return RxStream(samples=samples, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ)
+    return RxStream(samples=samples, sample_rate_hz=SAMPLE_RATE_HZ)

@@ -3,8 +3,10 @@
 Every experiment command resolves its parameters in three layers
 (built-in defaults, then a JSON config file, then explicit flags) and
 writes the resolved set to ``manifest.json`` next to its outputs.
-Feeding that manifest back through ``--config`` with no other flags
-reruns the experiment and reproduces the result files byte for byte.
+Config values must have their flag's type.  A manifest stores the
+threshold values an experiment used, not the file they came from, so
+feeding it back through ``--config`` with no other flags reruns the
+experiment and reproduces the result files byte for byte.
 
 Exit codes: 0 on success, 1 on bad arguments or config, 2 on runtime
 failure.
@@ -136,8 +138,28 @@ def _write_json(path: str, obj):
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults, config file and explicit flags, in that order."""
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _table(value) -> bool:
+    return isinstance(value, dict) and all(map(_number, value.values()))
+
+
+def _fits(value, default) -> bool:
+    """Whether a config value has the type of the flag with this default:
+    a string where there is none, any number (not a bool) for a float."""
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, float):
+        return _number(value)
+    return isinstance(value, type(default)) and not isinstance(value, bool)
+
+
+def _resolve(args: argparse.Namespace, defaults: dict, also=None) -> dict:
+    """Merge defaults, config file and explicit flags, in that order.
+    ``also`` maps keys to checks for config forms their flags lack."""
+    also = also or {}
     resolved = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -153,6 +175,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
                 continue
             if key not in defaults:
                 raise CliError(f"unknown config key {key!r}")
+            if not (_fits(value, defaults[key]) or key in also and also[key](value)):
+                raise CliError(f"config key {key!r} has the wrong type: {value!r}")
             resolved[key] = value
     for key in defaults:
         value = getattr(args, key, None)
@@ -179,22 +203,24 @@ def _taps_for(profile: str):
     if profile == "awgn":
         return ((0, 0.0),)
     if profile == "tu6":
-        return ch.merge_taps(ch.tu6_profile())
+        return ch.TU6_TAPS
     raise CliError(f"unknown channel profile {profile!r}")
 
 
 def _load_thresholds(resolved, configs):
-    path = resolved.get("thresholds")
-    if not path:
+    """Thresholds from a file path or a table; None means self-calibrate."""
+    table = resolved["thresholds"]
+    if table is None:
         return None
-    try:
-        with open(path) as f:
-            table = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read thresholds {path}: {exc}") from exc
+    if isinstance(table, str):
+        try:
+            with open(table) as f:
+                table = json.load(f)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CliError(f"cannot read thresholds {table}: {exc}") from exc
     missing = [c.key for c in configs if c.key not in table]
     if missing:
-        raise CliError(f"thresholds file lacks engines: {', '.join(missing)}")
+        raise CliError(f"thresholds lack engines: {', '.join(missing)}")
     return {c.key: float(table[c.key]) for c in configs}
 
 
@@ -286,17 +312,20 @@ def cmd_pmd(args) -> int:
         "ppm": 0.0, "profile": "awgn", "fading": "static",
         "thresholds": None, "output_dir": ".",
     }
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args, defaults, also={
+        "snr": lambda v: isinstance(v, list) and all(map(_number, v)),
+        "thresholds": _table})
     configs = parse_engines(resolved["engines"])
     snr_grid = (parse_snr_grid(resolved["snr"])
                 if isinstance(resolved["snr"], str) else
                 [float(s) for s in resolved["snr"]])
     resolved["snr"] = snr_grid
+    resolved["thresholds"] = _load_thresholds(resolved, configs)
     points = pmd_experiment(
         configs, snr_grid, trials=resolved["trials"],
         base_seed=resolved["seed"], pfa=resolved["pfa"],
         calibration_trials=resolved["cal_trials"],
-        thresholds=_load_thresholds(resolved, configs),
+        thresholds=resolved["thresholds"],
         taps=_taps_for(resolved["profile"]), fading=resolved["fading"],
         cfo_ppm=resolved["ppm"], jobs=resolved["jobs"], verbose=True,
     )
@@ -325,15 +354,16 @@ def cmd_acq(args) -> int:
         "fading": "rayleigh_block", "doppler_hz": 0.0,
         "thresholds": None, "output_dir": ".",
     }
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args, defaults, also={"thresholds": _table})
     configs = parse_engines(resolved["engines"])
+    resolved["thresholds"] = _load_thresholds(resolved, configs)
     results = acquisition_experiment(
         configs, trials=resolved["trials"], base_seed=resolved["seed"],
         snr_db=float(resolved["snr"]), cfo_ppm=resolved["ppm"],
         taps=_taps_for(resolved["profile"]), fading=resolved["fading"],
         doppler_hz=resolved["doppler_hz"],
         max_half_frames=resolved["max_half_frames"],
-        thresholds=_load_thresholds(resolved, configs),
+        thresholds=resolved["thresholds"],
         pfa=resolved["pfa"], calibration_trials=resolved["cal_trials"],
         jobs=resolved["jobs"],
     )
@@ -424,7 +454,8 @@ def build_parser() -> _Parser:
     p.add_argument("--cal-trials", dest="cal_trials", type=int)
     p.add_argument("--ppm", type=float)
     p.add_argument("--profile", choices=("awgn", "tu6"))
-    p.add_argument("--fading", choices=ch.FADING_MODES)
+    # Jakes fading needs a Doppler shift, which only acq takes.
+    p.add_argument("--fading", choices=("static", "rayleigh_block"))
     p.add_argument("--thresholds", help="thresholds.json from calibrate")
     p.set_defaults(fn=cmd_pmd)
 
@@ -456,10 +487,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - last-resort runtime failures

@@ -28,6 +28,11 @@ engine configuration.  Experiments keep the noise floor at unit
 variance and move the signal amplitude instead, so one calibration
 serves every SNR point.
 
+Both experiments run one trial loop, which finds each engine's first
+correctly detecting half frame up to a cap.  Pmd is the share of
+trials with none when the cap is one half frame.  Channels are
+validated before any calibration.
+
 Seeds split additively: trial t of a run uses base_seed + t, and each
 experiment point strides its base by 10**6 so points never overlap.
 """
@@ -42,13 +47,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as ch
-from .channel import ChannelScenario, RxStream, embed_pss_in_halfframe
-from .clustering import ClusterTable, conjugate_table, kmeans_cluster
+from .channel import (
+    HALF_FRAME_LEN,
+    SAMPLE_RATE_HZ,
+    ChannelScenario,
+    RxStream,
+    embed_pss_in_halfframe,
+)
+from .clustering import conjugate_table, kmeans_cluster
 from .correlator import _magnitude_sq, _windows
 from .pss import PSS_ROOTS, add_cyclic_prefix, pss_time_domain
 
 ENGINE_KINDS = ("mf_brute", "mf_opt", "cluster")
-NATIVE_SAMPLE_RATE_HZ = ch.DEFAULT_SAMPLE_RATE_HZ
+# Every Monte Carlo trial transmits this root.
+TRIAL_ROOT = 25
 
 # Acceptance window around the true body start, in engine-grid samples
 # (about half the cyclic prefix either side).
@@ -89,29 +101,25 @@ class EngineConfig:
             return f"cluster_k{self.num_clusters}_os{self.oversample}"
         return f"{self.kind}_os{self.oversample}"
 
-
-class PreparedEngine:
-    """An EngineConfig with its templates or tables built."""
-
-    def __init__(self, config: EngineConfig):
-        self.config = config
-        n = config.size_n
-        self.waveforms = tuple(pss_time_domain(u, n) for u in PSS_ROOTS)
-        self.tables: tuple[ClusterTable, ...] | None = None
-        if config.kind == "cluster":
-            t25 = kmeans_cluster(self.waveforms[0].body, config.num_clusters, root=25)
-            t29 = kmeans_cluster(self.waveforms[1].body, config.num_clusters, root=29)
-            self.tables = (t25, t29, conjugate_table(t29))
-            templates = [t.quantized_template() for t in self.tables]
-        else:
-            templates = [w.body for w in self.waveforms]
-        # One column of conjugated coefficients per root, so a metric
-        # evaluation is windows @ coef followed by squared magnitude.
-        self.coef = np.conj(np.stack(templates, axis=1))
-
     @property
     def decimation(self) -> int:
-        return 2 if self.config.oversample == 1 else 1
+        """Native samples per engine sample."""
+        return 2 if self.oversample == 1 else 1
+
+
+def engine_coefficients(config: EngineConfig) -> np.ndarray:
+    """N x 3 conjugated template coefficients, one column per root in
+    PSS_ROOTS: a metric is |windows @ coef|^2."""
+    n = config.size_n
+    if config.kind == "cluster":
+        t25, t29 = (
+            kmeans_cluster(pss_time_domain(u, n).body, config.num_clusters, root=u)
+            for u in (25, 29)
+        )
+        templates = [t.quantized_template() for t in (t25, t29, conjugate_table(t29))]
+    else:
+        templates = [pss_time_domain(u, n).body for u in PSS_ROOTS]
+    return np.conj(np.stack(templates, axis=1))
 
 
 class BatchEvaluator:
@@ -124,20 +132,18 @@ class BatchEvaluator:
     """
 
     def __init__(self, configs):
-        self.engines = [PreparedEngine(c) for c in configs]
+        self.configs = tuple(configs)
         self._groups = []
         for decim in (1, 2):
-            members = [
-                (i, e) for i, e in enumerate(self.engines) if e.decimation == decim
-            ]
-            if members:
-                coef = np.concatenate([e.coef for _, e in members], axis=1)
-                size_n = members[0][1].config.size_n
-                self._groups.append((decim, size_n, [i for i, _ in members], coef))
+            idx = [i for i, c in enumerate(self.configs) if c.decimation == decim]
+            if idx:
+                coef = np.concatenate([engine_coefficients(self.configs[i])
+                                       for i in idx], axis=1)
+                self._groups.append((decim, self.configs[idx[0]].size_n, idx, coef))
 
     def metric_values(self, native_samples: np.ndarray):
         """Per engine: metric values per (lag on the engine grid, root)."""
-        out = [None] * len(self.engines)
+        out = [None] * len(self.configs)
         for decim, size_n, idx, coef in self._groups:
             # The contiguous window copy is the largest array here; as a
             # temporary it is freed before the next group builds its own.
@@ -156,13 +162,13 @@ class BatchEvaluator:
         return out
 
 
-def _score(peak, engine: PreparedEngine, threshold: float, stream: RxStream) -> bool:
+def _score(peak, config: EngineConfig, threshold: float, stream: RxStream) -> bool:
     metric, lag, root_idx = peak
     if metric <= threshold or PSS_ROOTS[root_idx] != stream.true_root:
         return False
-    grid_starts = stream.pss_starts / engine.decimation
+    grid_starts = stream.pss_starts / config.decimation
     lag_err = float(np.min(np.abs(grid_starts - lag)))
-    return lag_err <= DETECT_TOLERANCE[engine.config.oversample]
+    return lag_err <= DETECT_TOLERANCE[config.oversample]
 
 
 @dataclass(frozen=True)
@@ -186,18 +192,17 @@ def detect(stream: RxStream, config: EngineConfig, threshold: float) -> Detectio
     to fall within the engine's tolerance of the nearest true body
     start (converted to the engine's sample grid).
     """
-    if stream.sample_rate_hz != NATIVE_SAMPLE_RATE_HZ:
+    if stream.sample_rate_hz != SAMPLE_RATE_HZ:
         raise ValueError(
-            f"detect needs a {NATIVE_SAMPLE_RATE_HZ:g} Hz stream, "
+            f"detect needs a {SAMPLE_RATE_HZ:g} Hz stream, "
             f"got {stream.sample_rate_hz:g} Hz"
         )
-    batch = _cached_batch((config,))
-    peak = batch.peaks(stream.samples)[0]
+    peak = _cached_batch((config,)).peaks(stream.samples)[0]
     metric, lag, root_idx = peak
 
     correct = None
     if stream.true_root is not None and len(stream.pss_starts):
-        correct = _score(peak, batch.engines[0], threshold, stream)
+        correct = _score(peak, config, threshold, stream)
 
     return DetectionResult(
         engine_key=config.key,
@@ -214,18 +219,18 @@ def detect(stream: RxStream, config: EngineConfig, threshold: float) -> Detectio
 # Threshold calibration.
 # ---------------------------------------------------------------------------
 
-def _noise_halfframe(rng, length, variance=ch.NOISE_FLOOR_VARIANCE):
+def _noise_halfframe(rng, length):
     z = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    return np.sqrt(variance / 2.0) * z
+    return np.sqrt(ch.NOISE_FLOOR_VARIANCE / 2.0) * z
 
 
 def _calibrate_chunk(start, stop, payload):
-    configs, length, variance, seed = payload
+    configs, length, seed = payload
     batch = _cached_batch(configs)
     out = np.empty((stop - start, len(configs)))
     for t in range(start, stop):
         rng = np.random.default_rng(seed + t)
-        peaks = batch.peaks(_noise_halfframe(rng, length, variance))
+        peaks = batch.peaks(_noise_halfframe(rng, length))
         out[t - start] = [p[0] for p in peaks]
     return out
 
@@ -236,24 +241,21 @@ def calibrate_thresholds(
     trials: int = 2000,
     seed: int = 0,
     stream_len: int | None = None,
-    noise_variance: float = ch.NOISE_FLOOR_VARIANCE,
     jobs: int = 1,
 ) -> dict[str, float]:
     """Empirical (1 - pfa) quantiles of the noise-only maximum metric.
 
-    Each trial synthesizes one native-rate half frame of pure noise
-    shared by every engine; each engine keeps its maximum metric over
-    lags and roots, and its threshold is the linear-interpolated
-    quantile of those maxima.  Scaling the noise variance by c scales
-    every threshold by c.
+    Each trial synthesizes one native-rate half frame of noise at the
+    experiments' floor (NOISE_FLOOR_VARIANCE), shared by every engine;
+    each engine keeps its maximum metric over lags and roots, and its
+    threshold is the linear-interpolated quantile of those maxima.
     """
     if not (0.0 < pfa < 1.0):
         raise ValueError(f"pfa must lie in (0, 1), got {pfa}")
     if trials < 100:
         raise ValueError("calibration needs at least 100 trials")
     configs = tuple(engines)
-    length = stream_len or int(round(NATIVE_SAMPLE_RATE_HZ * ch.HALF_FRAME_SEC))
-    payload = (configs, length, noise_variance, seed)
+    payload = (configs, stream_len or HALF_FRAME_LEN, seed)
     maxima = np.concatenate(_chunked(_calibrate_chunk, trials, jobs, payload))
     quantiles = np.quantile(maxima, 1.0 - pfa, axis=0)
     return {c.key: float(q) for c, q in zip(configs, quantiles)}
@@ -265,15 +267,87 @@ def calibrate_threshold(
     trials: int = 2000,
     seed: int = 0,
     stream_len: int | None = None,
-    noise_variance: float = ch.NOISE_FLOOR_VARIANCE,
     jobs: int = 1,
 ) -> float:
     """Single-engine convenience wrapper around calibrate_thresholds."""
     table = calibrate_thresholds(
         [engine], pfa=pfa, trials=trials, seed=seed, stream_len=stream_len,
-        noise_variance=noise_variance, jobs=jobs,
+        jobs=jobs,
     )
     return next(iter(table.values()))
+
+
+# ---------------------------------------------------------------------------
+# The trial loop both experiments run.
+# ---------------------------------------------------------------------------
+
+def _trial_scenario(rng, snr_db, channel, sym_len):
+    max_delay = max(d for d, _ in channel["taps"])
+    theta = int(rng.integers(0, HALF_FRAME_LEN - sym_len - max_delay + 1))
+    return ChannelScenario(snr_db=snr_db, timing_offset=theta,
+                           seed=int(rng.integers(0, 2**63)), **channel)
+
+
+def _trial_chunk(start, stop, payload):
+    """Per trial and engine: the 1-based half frame of the first correct
+    detection, or 0 if none came within max_hf half frames."""
+    configs, thresholds, snr_db, channel, base_seed, max_hf = payload
+    batch = _cached_batch(configs)
+    tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
+    first = np.zeros((stop - start, len(configs)), dtype=np.int64)
+    for t in range(start, stop):
+        rng = np.random.default_rng(base_seed + t)
+        scen = _trial_scenario(rng, snr_db, channel, len(tx.samples))
+        done = [0] * len(configs)
+
+        if scen.fading == "rayleigh_jakes":
+            # One continuous stream per trial keeps the Doppler process
+            # correlated across half frames.
+            full = embed_pss_in_halfframe(tx, scen, frame_count=max_hf)
+
+            def frame(i):
+                lo = i * HALF_FRAME_LEN
+                return dataclasses.replace(
+                    full, samples=full.samples[lo: lo + HALF_FRAME_LEN],
+                    pss_starts=full.pss_starts[:1],
+                )
+        else:
+            def frame(i):
+                if i == 0:
+                    return embed_pss_in_halfframe(tx, scen)
+                # Rebuilt from the given taps: renormalizing the already
+                # normalized powers can move them by an ulp.
+                fresh = dataclasses.replace(
+                    scen, taps=channel["taps"], seed=int(rng.integers(0, 2**63))
+                )
+                return embed_pss_in_halfframe(tx, fresh)
+
+        for i in range(max_hf):
+            if all(done):
+                break
+            stream = frame(i)
+            peaks = batch.peaks(stream.samples)
+            for e, config in enumerate(configs):
+                if not done[e] and _score(peaks[e], config, thresholds[e], stream):
+                    done[e] = i + 1
+        first[t - start] = done
+    return first
+
+
+def _experiment_thresholds(configs, thresholds, snr_points, channel, trials,
+                           pfa, calibration_trials, base_seed, jobs):
+    """Per-engine thresholds, calibrated here unless supplied, once the
+    channel of every SNR point has been built (and so validated)."""
+    for snr_db in snr_points:
+        ChannelScenario(snr_db=snr_db, **channel)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if thresholds is None:
+        thresholds = calibrate_thresholds(
+            configs, pfa=pfa, trials=calibration_trials,
+            seed=base_seed + CALIBRATION_SEED_STRIDE, jobs=jobs,
+        )
+    return tuple(thresholds[c.key] for c in configs)
 
 
 # ---------------------------------------------------------------------------
@@ -305,39 +379,6 @@ class PmdPoint:
     ci_hi: float
 
 
-def _trial_scenario(rng, snr_db, taps, fading, cfo_ppm, doppler, sym_len):
-    hf = int(round(NATIVE_SAMPLE_RATE_HZ * ch.HALF_FRAME_SEC))
-    max_delay = max(d for d, _ in taps)
-    theta = int(rng.integers(0, hf - sym_len - max_delay + 1))
-    return ChannelScenario(
-        taps=taps,
-        fading=fading,
-        snr_db=snr_db,
-        cfo_ppm=cfo_ppm,
-        doppler_hz=doppler,
-        timing_offset=theta,
-        seed=int(rng.integers(0, 2**63)),
-    )
-
-
-def _pmd_chunk(start, stop, payload):
-    (configs, thresholds, snr_db, taps, fading, cfo_ppm, doppler,
-     root, base_seed) = payload
-    batch = _cached_batch(configs)
-    tx = add_cyclic_prefix(pss_time_domain(root, 128))
-    misses = np.zeros(len(configs), dtype=np.int64)
-    for t in range(start, stop):
-        rng = np.random.default_rng(base_seed + t)
-        scen = _trial_scenario(rng, snr_db, taps, fading, cfo_ppm, doppler,
-                               len(tx.samples))
-        stream = embed_pss_in_halfframe(tx, scen)
-        peaks = batch.peaks(stream.samples)
-        for i, engine in enumerate(batch.engines):
-            if not _score(peaks[i], engine, thresholds[i], stream):
-                misses[i] += 1
-    return misses
-
-
 def pmd_experiment(
     engines,
     snr_grid_db,
@@ -350,37 +391,34 @@ def pmd_experiment(
     fading: str = "static",
     cfo_ppm: float = 0.0,
     doppler_hz: float = 0.0,
-    root: int = 25,
     jobs: int = 1,
     verbose: bool = False,
 ) -> list[PmdPoint]:
     """Missed-detection probability over an SNR grid.
 
-    Every trial draws its own timing offset and noise, embeds the PSS
-    of ``root`` in one native half frame, and runs all engines on the
-    same stream (the comparisons are paired).  A detection counts only
-    if it is correct: above threshold, right root, timing within
-    tolerance.  Thresholds are calibrated here unless supplied.
+    Pmd is acquisition capped at one half frame: a trial misses when an
+    engine has no correct detection (above threshold, right root,
+    timing within tolerance) in it.  All engines run on the same
+    stream, so the comparisons are paired.  Point p runs its trials
+    from base_seed + (p + 1) * POINT_SEED_STRIDE.
     """
     configs = list(engines)
-    if thresholds is None:
-        thresholds = calibrate_thresholds(
-            configs, pfa=pfa, trials=calibration_trials,
-            seed=base_seed + CALIBRATION_SEED_STRIDE, jobs=jobs,
-        )
-    lam = [thresholds[c.key] for c in configs]
-
+    grid = [float(s) for s in snr_grid_db]
+    channel = dict(taps=tuple(taps), fading=fading, cfo_ppm=cfo_ppm,
+                   doppler_hz=doppler_hz)
+    lam = _experiment_thresholds(configs, thresholds, grid, channel, trials,
+                                 pfa, calibration_trials, base_seed, jobs)
     points = []
-    for p, snr_db in enumerate(snr_grid_db):
+    for p, snr_db in enumerate(grid):
         point_seed = base_seed + (p + 1) * POINT_SEED_STRIDE
-        payload = (tuple(configs), tuple(lam), float(snr_db), tuple(taps),
-                   fading, cfo_ppm, doppler_hz, root, point_seed)
-        misses = sum(_chunked(_pmd_chunk, trials, jobs, payload))
+        payload = (tuple(configs), lam, snr_db, channel, point_seed, 1)
+        first = np.concatenate(_chunked(_trial_chunk, trials, jobs, payload))
+        misses = np.count_nonzero(first == 0, axis=0)
         for c, m in zip(configs, misses):
             lo, hi = wilson_ci(int(m), trials)
             points.append(PmdPoint(
                 engine_key=c.key, kind=c.kind, num_clusters=c.num_clusters,
-                oversample=c.oversample, snr_db=float(snr_db), trials=trials,
+                oversample=c.oversample, snr_db=snr_db, trials=trials,
                 misses=int(m), pmd=m / trials, ci_lo=lo, ci_hi=hi,
             ))
         if verbose:
@@ -418,72 +456,19 @@ class AcquisitionResult:
     censored: bool
 
 
-def _acq_chunk(start, stop, payload):
-    (configs, thresholds, snr_db, taps, fading, cfo_ppm, doppler,
-     root, base_seed, max_hf) = payload
-    batch = _cached_batch(configs)
-    tx = add_cyclic_prefix(pss_time_domain(root, 128))
-    hf = int(round(NATIVE_SAMPLE_RATE_HZ * ch.HALF_FRAME_SEC))
-    rows = []
-    for t in range(start, stop):
-        rng = np.random.default_rng(base_seed + t)
-        scen = _trial_scenario(rng, snr_db, taps, fading, cfo_ppm, doppler,
-                               len(tx.samples))
-        done = [0] * len(configs)
-
-        if fading == "rayleigh_jakes":
-            # One continuous stream per trial keeps the Doppler process
-            # correlated across half frames.
-            full = embed_pss_in_halfframe(tx, scen, frame_count=max_hf)
-
-            def frame(i):
-                return dataclasses.replace(
-                    full, samples=full.samples[i * hf: (i + 1) * hf],
-                    pss_starts=full.pss_starts[:1],
-                )
-        else:
-            def frame(i):
-                if i == 0:
-                    return embed_pss_in_halfframe(tx, scen)
-                # Rebuilt from the given taps: renormalizing the already
-                # normalized powers can move them by an ulp.
-                fresh = dataclasses.replace(
-                    scen, taps=taps, seed=int(rng.integers(0, 2**63))
-                )
-                return embed_pss_in_halfframe(tx, fresh)
-
-        for i in range(max_hf):
-            if all(done):
-                break
-            stream = frame(i)
-            peaks = batch.peaks(stream.samples)
-            for e, engine in enumerate(batch.engines):
-                if not done[e] and _score(peaks[e], engine, thresholds[e], stream):
-                    done[e] = i + 1
-        for e, config in enumerate(configs):
-            frames = done[e] if done[e] else max_hf
-            rows.append(AcquisitionResult(
-                engine_key=config.key, trial=t, half_frames=frames,
-                time_ms=frames * ch.HALF_FRAME_SEC * 1e3,
-                censored=not done[e],
-            ))
-    return rows
-
-
 def acquisition_experiment(
     engines,
     trials: int,
     base_seed: int = 0,
     snr_db: float = -5.0,
     cfo_ppm: float = 5.0,
-    taps=None,
+    taps=ch.TU6_TAPS,
     fading: str = "rayleigh_block",
     doppler_hz: float = 0.0,
     max_half_frames: int = 200,
     thresholds: dict[str, float] | None = None,
     pfa: float = DEFAULT_PFA,
     calibration_trials: int = 2000,
-    root: int = 25,
     jobs: int = 1,
 ) -> list[AcquisitionResult]:
     """Half frames needed until the first correct detection.
@@ -494,23 +479,24 @@ def acquisition_experiment(
     see the same streams, so acquisition times are paired.
     """
     configs = list(engines)
-    taps = tuple(taps) if taps is not None else ch.merge_taps(ch.tu6_profile())
-    if fading == "rayleigh_jakes" and doppler_hz <= 0:
-        raise ValueError("rayleigh_jakes fading needs doppler_hz > 0")
+    channel = dict(taps=tuple(taps), fading=fading, cfo_ppm=cfo_ppm,
+                   doppler_hz=doppler_hz)
     if max_half_frames < 1:
         raise ValueError("max_half_frames must be at least 1")
-    if thresholds is None:
-        thresholds = calibrate_thresholds(
-            configs, pfa=pfa, trials=calibration_trials,
-            seed=base_seed + CALIBRATION_SEED_STRIDE, jobs=jobs,
-        )
-    lam = [thresholds[c.key] for c in configs]
-    payload = (tuple(configs), tuple(lam), float(snr_db), taps, fading,
-               cfo_ppm, doppler_hz, root, base_seed, max_half_frames)
-    chunks = _chunked(_acq_chunk, trials, jobs, payload)
-    rows: list[AcquisitionResult] = []
-    for chunk in chunks:
-        rows.extend(chunk)
+    lam = _experiment_thresholds(configs, thresholds, [snr_db], channel, trials,
+                                 pfa, calibration_trials, base_seed, jobs)
+    payload = (tuple(configs), lam, float(snr_db), channel, base_seed,
+               max_half_frames)
+    first = np.concatenate(_chunked(_trial_chunk, trials, jobs, payload))
+    rows = []
+    for t, row in enumerate(first.tolist()):
+        for config, acquired in zip(configs, row):
+            frames = acquired or max_half_frames
+            rows.append(AcquisitionResult(
+                engine_key=config.key, trial=t, half_frames=frames,
+                time_ms=frames * ch.HALF_FRAME_SEC * 1e3,
+                censored=not acquired,
+            ))
     return rows
 
 
@@ -581,8 +567,6 @@ def _chunked(fn, trials, jobs, payload):
     randomness from its own index, so the output is identical for any
     job count.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     jobs = max(1, int(jobs))
     if jobs == 1:
         return [fn(0, trials, payload)]

@@ -292,6 +292,94 @@ def test_manifest_reruns_pmd_byte_identically(tmp_path, thresholds_file, capsys)
     assert (first / "pmd.csv").read_bytes() == (second / "pmd.csv").read_bytes()
 
 
+def test_manifest_stores_threshold_values(tmp_path, thresholds_file, capsys):
+    first = tmp_path / "first"
+    assert main(["pmd", "--engines", "mf_opt:os2", "--snr", "-6,-2",
+                 "--trials", "20", "--seed", "9",
+                 "--thresholds", thresholds_file,
+                 "--output-dir", str(first)]) == 0
+    manifest = json.load(open(first / "manifest.json"))
+    assert manifest["thresholds"] == {"mf_opt_os2": 6.0}
+    # A later change to the file must not reach a rerun.
+    with open(thresholds_file, "w") as f:
+        json.dump({"mf_opt_os2": 1e9, "cluster_k8_os2": 1e9}, f)
+    second = tmp_path / "second"
+    manifest["output_dir"] = str(second)
+    rerun_cfg = tmp_path / "rerun.json"
+    rerun_cfg.write_text(json.dumps(manifest))
+    assert main(["pmd", "--config", str(rerun_cfg)]) == 0
+    capsys.readouterr()
+    assert (first / "pmd.csv").read_bytes() == (second / "pmd.csv").read_bytes()
+    assert json.load(open(second / "manifest.json")) == manifest
+
+
+@pytest.fixture()
+def no_calibration(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("calibrate_thresholds was reached")
+
+    monkeypatch.setattr("pssdet.detector.calibrate_thresholds", reached)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--fading", "rayleigh_jakes"], None),
+    ([], {"fading": "rayleigh_jakes"}),
+    (["--snr", "1e6"], None),
+    (["--snr", "-4,3070"], None),
+], ids=["jakes_flag", "jakes_config", "snr_1e6", "snr_3070"])
+def test_pmd_rejects_bad_channels_before_calibrating(tmp_path, capsys,
+                                                     no_calibration, argv, config):
+    out = tmp_path / "out"
+    args = ["pmd", "--engines", "mf_opt:os2", "--trials", "2",
+            "--cal-trials", "100", "--output-dir", str(out), *argv]
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    assert main(args) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("calibrate", {"trials": "10"}),
+    ("calibrate", {"seed": True}),
+    ("calibrate", {"pfa": "0.1"}),
+    ("calibrate", {"engines": ["mf_opt:os2"]}),
+    ("pmd", {"snr": [-2.0, "0"]}),
+    ("pmd", {"thresholds": 6.0}),
+    ("pmd", {"thresholds": {"mf_opt_os2": "6.0"}}),
+    ("acq", {"snr": [-2.0]}),
+    ("acq", {"max_half_frames": 4.0}),
+])
+def test_config_values_must_have_the_flag_type(tmp_path, capsys, no_calibration,
+                                               command, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"engines": "mf_opt:os2", "trials": 2,
+                               "output_dir": str(tmp_path / "out"), **config}))
+    assert main([command, "--config", str(cfg)]) == 1
+    key = next(iter(config))
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_ints_for_float_flags(tmp_path, thresholds_file, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "engines": "mf_opt:os2", "snr": 10, "ppm": 0, "trials": 3,
+        "max_half_frames": 2, "profile": "awgn", "fading": "static",
+        "thresholds": thresholds_file, "output_dir": str(tmp_path),
+    }))
+    assert main(["acq", "--config", str(cfg)]) == 0
+    cfg.write_text(json.dumps({
+        "engines": "mf_opt:os2", "snr": [-2, 0], "trials": 3,
+        "thresholds": {"mf_opt_os2": 6}, "output_dir": str(tmp_path),
+    }))
+    assert main(["pmd", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert json.load(open(tmp_path / "manifest.json"))["snr"] == [-2.0, 0.0]
+
+
 def test_acq_command(tmp_path, thresholds_file, capsys):
     args = ["acq", "--engines", "mf_opt:os2", "--snr", "10", "--ppm", "0",
             "--trials", "5", "--max-half-frames", "4",

@@ -15,8 +15,10 @@ from pssdet import (
     calibrate_threshold,
     calibrate_thresholds,
     cluster_correlate,
+    conjugate_table,
     detect,
     embed_pss_in_halfframe,
+    kmeans_cluster,
     median_time_ci,
     mf_correlate,
     mf_correlate_optimized,
@@ -25,8 +27,14 @@ from pssdet import (
     pss_time_domain,
     wilson_ci,
 )
-from pssdet.detector import PmdPoint, PreparedEngine, _score, _trial_scenario
-from pssdet.channel import HALF_FRAME_SEC, NOISE_FLOOR_VARIANCE, RxStream
+from pssdet.detector import (
+    POINT_SEED_STRIDE,
+    PmdPoint,
+    _score,
+    _trial_scenario,
+    engine_coefficients,
+)
+from pssdet.channel import HALF_FRAME_SEC, NOISE_FLOOR_VARIANCE, TU6_TAPS, RxStream
 
 
 def noise(rng, length, variance=1.0):
@@ -43,6 +51,8 @@ def test_engine_keys():
     assert EngineConfig("cluster", num_clusters=8).key == "cluster_k8_os2"
     assert EngineConfig("mf_brute").size_n == 128
     assert EngineConfig("mf_brute", oversample=1).size_n == 64
+    assert EngineConfig("mf_brute", oversample=1).decimation == 2
+    assert EngineConfig("cluster", num_clusters=8).decimation == 1
 
 
 def test_engine_config_validation():
@@ -75,33 +85,44 @@ def test_capture_decimation():
 
 
 # ---------------------------------------------------------------------------
-# Batch metrics against the reference correlators, at both rates.
+# Batch metrics against the reference correlators, at both rates.  The
+# references get their waveforms and tables from pss and clustering
+# directly, never from the engine under test.
 # ---------------------------------------------------------------------------
 
 def _one_engine_values(config, r):
-    batch = BatchEvaluator([config])
-    return batch.engines[0], batch.metric_values(r)[0]
+    return BatchEvaluator([config]).metric_values(r)[0]
+
+
+def _waveforms(size_n):
+    return tuple(pss_time_domain(u, size_n) for u in (25, 29, 34))
+
+
+def _tables(size_n, k):
+    t25 = kmeans_cluster(pss_time_domain(25, size_n).body, k, root=25)
+    t29 = kmeans_cluster(pss_time_domain(29, size_n).body, k, root=29)
+    return t25, t29, conjugate_table(t29)
 
 
 def test_mf_engine_matches_reference_trace():
     rng = np.random.default_rng(1)
     r = noise(rng, 600)
-    for oversample in (1, 2):
-        engine, values = _one_engine_values(
+    for oversample, decim in ((1, 2), (2, 1)):
+        values = _one_engine_values(
             EngineConfig("mf_brute", oversample=oversample), r)
-        for col, w in enumerate(engine.waveforms):
-            trace, _ = mf_correlate(r[::engine.decimation], w, "sliding")
+        for col, w in enumerate(_waveforms(64 * oversample)):
+            trace, _ = mf_correlate(r[::decim], w, "sliding")
             np.testing.assert_allclose(values[:, col], trace.values, rtol=1e-10)
 
 
 def test_optimized_engine_matches_folded_reference():
     rng = np.random.default_rng(2)
     r = noise(rng, 600)
-    for oversample in (1, 2):
-        engine, values = _one_engine_values(
+    for oversample, decim in ((1, 2), (2, 1)):
+        values = _one_engine_values(
             EngineConfig("mf_opt", oversample=oversample), r)
-        traces, _ = mf_correlate_optimized(r[::engine.decimation],
-                                           engine.waveforms, "sliding")
+        traces, _ = mf_correlate_optimized(r[::decim], _waveforms(64 * oversample),
+                                           "sliding")
         for col in range(3):
             np.testing.assert_allclose(values[:, col], traces[col].values,
                                        rtol=1e-10)
@@ -111,20 +132,22 @@ def test_optimized_engine_matches_folded_reference():
 def test_cluster_engine_matches_both_architectures(arch):
     rng = np.random.default_rng(3)
     r = noise(rng, 500)
-    for oversample in (1, 2):
-        engine, values = _one_engine_values(
+    for oversample, decim in ((1, 2), (2, 1)):
+        values = _one_engine_values(
             EngineConfig("cluster", num_clusters=8, oversample=oversample), r)
-        for col, table in enumerate(engine.tables):
-            trace, _ = cluster_correlate(r[::engine.decimation], table,
+        for col, table in enumerate(_tables(64 * oversample, 8)):
+            trace, _ = cluster_correlate(r[::decim], table,
                                          "sliding", architecture=arch)
             np.testing.assert_allclose(values[:, col], trace.values, rtol=1e-10)
 
 
 def test_half_rate_cluster_engine_uses_small_grid():
-    engine = PreparedEngine(EngineConfig("cluster", num_clusters=6, oversample=1))
-    assert engine.coef.shape == (64, 3)
-    assert all(t.size_n == 64 for t in engine.tables)
-    assert all(t.num_clusters == 6 for t in engine.tables)
+    coef = engine_coefficients(EngineConfig("cluster", num_clusters=6, oversample=1))
+    expected = [t.quantized_template() for t in _tables(64, 6)]
+    np.testing.assert_array_equal(coef, np.conj(np.stack(expected, axis=1)))
+    assert coef.shape == (64, 3)
+    # Six clusters: at most six distinct coefficients per root.
+    assert all(len(np.unique(coef[:, col])) <= 6 for col in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +167,7 @@ def test_batch_peaks_match_single_engine_metrics():
         r = noise(rng, 2000)
         peaks = batch.peaks(r)
         for cfg, peak in zip(configs, peaks):
-            _, values = _one_engine_values(cfg, r)
+            values = _one_engine_values(cfg, r)
             lag, root_idx = divmod(int(np.argmax(values)), 3)
             assert peak[1] == lag
             assert peak[2] == root_idx
@@ -166,7 +189,7 @@ def test_detect_clean_stream(oversample):
     assert result.detected
     assert result.correct
     assert result.root == 29
-    start = stream.pss_starts[0] / PreparedEngine(config).decimation
+    start = stream.pss_starts[0] / config.decimation
     assert abs(result.lag - start) <= DETECT_TOLERANCE[oversample]
 
 
@@ -190,27 +213,18 @@ def test_detect_rejects_other_sample_rates():
 def test_score_tolerance_edges():
     tx = add_cyclic_prefix(pss_time_domain(25, 128))
     stream = embed_pss_in_halfframe(tx, ChannelScenario(timing_offset=100, seed=3))
-    engine = PreparedEngine(EngineConfig("mf_opt", oversample=2))
+    config = EngineConfig("mf_opt", oversample=2)
     start = int(stream.pss_starts[0])
     tol = int(DETECT_TOLERANCE[2])
-    assert _score((5.0, start + tol, 0), engine, 1.0, stream)
-    assert not _score((5.0, start + tol + 1, 0), engine, 1.0, stream)
-    assert not _score((5.0, start, 1), engine, 1.0, stream)  # wrong root
-    assert not _score((0.5, start, 0), engine, 1.0, stream)  # under threshold
+    assert _score((5.0, start + tol, 0), config, 1.0, stream)
+    assert not _score((5.0, start + tol + 1, 0), config, 1.0, stream)
+    assert not _score((5.0, start, 1), config, 1.0, stream)  # wrong root
+    assert not _score((0.5, start, 0), config, 1.0, stream)  # under threshold
 
 
 # ---------------------------------------------------------------------------
 # Threshold calibration.
 # ---------------------------------------------------------------------------
-
-def test_calibration_scales_with_noise_variance():
-    cfg = [EngineConfig("mf_opt"), EngineConfig("cluster", num_clusters=8)]
-    base = calibrate_thresholds(cfg, trials=200, seed=5, stream_len=1500)
-    scaled = calibrate_thresholds(cfg, trials=200, seed=5, stream_len=1500,
-                                  noise_variance=4.0)
-    for key in base:
-        assert abs(scaled[key] - 4.0 * base[key]) < 1e-9 * base[key]
-
 
 def test_calibration_monotone_in_pfa():
     cfg = EngineConfig("mf_opt", oversample=1)
@@ -280,12 +294,13 @@ def test_pmd_crossing_requires_bracket():
 
 
 def test_trial_scenario_offset_range():
-    taps = ((0, 0.0), (10, -3.0))
+    channel = dict(taps=((0, 0.0), (10, -3.0)), fading="static", cfo_ppm=0.0,
+                   doppler_hz=0.0)
     rng = np.random.default_rng(8)
     hf = 9600
     sym = 137
     for _ in range(200):
-        scen = _trial_scenario(rng, -5.0, taps, "static", 0.0, 0.0, sym)
+        scen = _trial_scenario(rng, -5.0, channel, sym)
         assert 0 <= scen.timing_offset <= hf - sym - 10
         assert scen.snr_db == -5.0
 
@@ -355,6 +370,49 @@ def test_acquisition_jobs_invariant():
     b = acquisition_experiment(**kwargs, jobs=2)
     assert [(r.engine_key, r.trial, r.half_frames, r.censored) for r in a] \
         == [(r.engine_key, r.trial, r.half_frames, r.censored) for r in b]
+
+
+@pytest.mark.parametrize("channel", [
+    dict(taps=((0, 0.0),), fading="static", cfo_ppm=0.0),
+    dict(taps=TU6_TAPS, fading="rayleigh_block", cfo_ppm=5.0),
+    dict(taps=TU6_TAPS, fading="rayleigh_jakes", cfo_ppm=1.0, doppler_hz=50.0),
+], ids=["awgn", "tu6_block_cfo", "tu6_jakes"])
+def test_pmd_is_one_half_frame_acquisition(channel):
+    grid = (-8.0, -5.0)
+    trials = 20
+    points = pmd_experiment(ENGINES, grid, trials=trials, base_seed=14,
+                            thresholds=FIXED_LAMBDA, **channel)
+    misses = []
+    for p, snr_db in enumerate(grid):
+        acq = acquisition_experiment(
+            ENGINES, trials=trials, base_seed=14 + (p + 1) * POINT_SEED_STRIDE,
+            snr_db=snr_db, max_half_frames=1, thresholds=FIXED_LAMBDA, **channel)
+        for c in ENGINES:
+            point = next(q for q in points
+                         if q.engine_key == c.key and q.snr_db == snr_db)
+            censored = sum(r.censored for r in acq if r.engine_key == c.key)
+            assert point.misses == censored
+            misses.append(censored)
+    # Both outcomes occur, so the comparison can tell them apart.
+    assert 0 < sum(misses) < trials * len(misses)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(snr_db=1e6), dict(snr_db=3070.0), dict(snr_db=np.nan),
+    dict(fading="rayleigh_jakes"), dict(cfo_ppm=np.inf), dict(trials=0),
+])
+def test_experiments_validate_before_calibrating(monkeypatch, bad):
+    def reached(*args, **kwargs):
+        raise AssertionError("calibrate_thresholds was reached")
+
+    monkeypatch.setattr("pssdet.detector.calibrate_thresholds", reached)
+    kwargs = dict(trials=4, fading="rayleigh_block", cfo_ppm=0.0)
+    kwargs.update(bad)
+    snr_db = kwargs.pop("snr_db", -5.0)
+    with pytest.raises(ValueError):
+        pmd_experiment(ENGINES, [-5.0, snr_db], **kwargs)
+    with pytest.raises(ValueError):
+        acquisition_experiment(ENGINES, snr_db=snr_db, **kwargs)
 
 
 def test_acquisition_cdf_rows():
