@@ -46,9 +46,10 @@ class ChannelScenario:
     """One reproducible channel draw.
 
     ``taps`` are (delay_samples, mean_power_db) pairs with non-negative
-    strictly increasing integer delays; the linear powers are
-    renormalized to sum to one at construction.  ``snr_db`` must be
-    finite and at most MAX_SNR_DB, or +inf for noiseless runs;
+    strictly increasing integer delays.  They are kept as given and
+    ``linear_powers`` normalizes them to sum to one, so a copy made with
+    ``dataclasses.replace`` has exactly the same channel.  ``snr_db``
+    must be finite and at most MAX_SNR_DB, or +inf for noiseless runs;
     ``cfo_ppm`` and ``doppler_hz`` must be finite.  ``timing_offset``
     is theta in samples.
     """
@@ -84,12 +85,7 @@ class ChannelScenario:
             raise ValueError("rayleigh_jakes fading needs doppler_hz > 0")
         if self.timing_offset < 0:
             raise ValueError("timing_offset must be non-negative")
-        linear = np.array([10.0 ** (p / 10.0) for _, p in taps])
-        linear = linear / linear.sum()
-        normalized = tuple(
-            (d, float(10.0 * np.log10(p))) for (d, _), p in zip(taps, linear)
-        )
-        object.__setattr__(self, "taps", normalized)
+        object.__setattr__(self, "taps", taps)
 
     @property
     def delays(self) -> np.ndarray:
@@ -97,7 +93,9 @@ class ChannelScenario:
 
     @property
     def linear_powers(self) -> np.ndarray:
-        return np.array([10.0 ** (p / 10.0) for _, p in self.taps])
+        """Mean linear tap powers, normalized to sum to one."""
+        linear = np.array([10.0 ** (p / 10.0) for _, p in self.taps])
+        return linear / linear.sum()
 
     @property
     def cfo_hz(self) -> float:
@@ -210,24 +208,24 @@ def embed_pss_in_halfframe(w, scenario: ChannelScenario, frame_count: int = 1) -
             for p in scenario.linear_powers
         ]
 
+    # Each half frame receives one burst of len(sym) + max_delay samples:
+    # the taps' gains times the burst, summed, then one CFO ramp.
+    n_rx = len(burst) + max_delay
     starts = np.empty(frame_count, dtype=np.int64)
     for i in range(frame_count):
         base = i * HALF_FRAME_LEN + theta
         starts[i] = base + w.cp_len
+        idx = np.arange(base, base + n_rx)
+        rx = np.zeros(n_rx, dtype=complex)
         if procs is None:
             gains = _tap_gains(scenario, rng, len(delays))
         for m, d in enumerate(delays):
-            lo = base + int(d)
-            idx = np.arange(lo, lo + len(burst))
-            if procs is None:
-                contrib = gains[m] * burst
-            else:
-                contrib = procs[m].at(idx) * burst
-            if f_cfo:
-                contrib = contrib * np.exp(
-                    2j * np.pi * f_cfo * idx / SAMPLE_RATE_HZ
-                )
-            stream[lo: lo + len(burst)] += contrib
+            tap = slice(d, d + len(burst))
+            gain = gains[m] if procs is None else procs[m].at(idx[tap])
+            rx[tap] += gain * burst
+        if f_cfo:
+            rx *= np.exp(2j * np.pi * f_cfo * idx / SAMPLE_RATE_HZ)
+        stream[base: base + n_rx] += rx
 
     return RxStream(
         samples=stream,

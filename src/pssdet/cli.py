@@ -47,6 +47,25 @@ from .pss import (
 
 DEFAULT_ENGINES = "mf_opt:os1,mf_opt:os2,cluster:k8:os2,cluster:k16:os2"
 
+# Every option of the commands that resolve a config, with its default.
+# Each key is one flag (``max_half_frames`` is ``--max-half-frames``)
+# whose type is its default's type, a string where the default is None.
+OPTIONS = {
+    "cluster": {"root": 25, "size_n": 128, "clusters": 8, "seed": 0,
+                "restarts": 0, "out": None, "output_dir": "."},
+    "calibrate": {"engines": DEFAULT_ENGINES, "pfa": DEFAULT_PFA,
+                  "trials": 2000, "seed": 0, "jobs": 1, "output_dir": "."},
+    "pmd": {"engines": DEFAULT_ENGINES, "snr": "-12:0:1", "trials": 1000,
+            "pfa": DEFAULT_PFA, "cal_trials": 2000, "seed": 0, "jobs": 1,
+            "ppm": 0.0, "profile": "awgn", "fading": "static",
+            "thresholds": None, "output_dir": "."},
+    "acq": {"engines": DEFAULT_ENGINES, "snr": -5.0, "ppm": 5.0,
+            "trials": 500, "max_half_frames": 200, "pfa": DEFAULT_PFA,
+            "cal_trials": 2000, "seed": 0, "jobs": 1, "profile": "tu6",
+            "fading": "rayleigh_block", "doppler_hz": 0.0,
+            "thresholds": None, "output_dir": "."},
+}
+
 
 class CliError(ValueError):
     pass
@@ -156,10 +175,12 @@ def _fits(value, default) -> bool:
     return isinstance(value, type(default)) and not isinstance(value, bool)
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, also=None) -> dict:
-    """Merge defaults, config file and explicit flags, in that order.
-    ``also`` maps keys to checks for config forms their flags lack."""
+def _resolve(args: argparse.Namespace, also=None) -> dict:
+    """Merge the command's OPTIONS defaults, config file and explicit
+    flags, in that order.  ``also`` maps keys to checks for config forms
+    their flags lack."""
     also = also or {}
+    defaults = OPTIONS[args.command]
     resolved = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -190,13 +211,16 @@ def _manifest(output_dir: str, command: str, resolved: dict):
                 {"command": command, **resolved})
 
 
-def _add_common(sub, with_engines=True):
+def _add_options(subs, command, fn, summary, **extra):
+    """A subcommand with ``--config`` plus one flag per OPTIONS key of
+    the command; ``extra`` maps keys to further add_argument settings."""
+    sub = subs.add_parser(command, help=summary)
     sub.add_argument("--config", help="JSON config file (flags override it)")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--jobs", type=int)
-    sub.add_argument("--output-dir", dest="output_dir")
-    if with_engines:
-        sub.add_argument("--engines", help="comma list, e.g. " + DEFAULT_ENGINES)
+    for key, default in OPTIONS[command].items():
+        sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                         type=str if default is None else type(default),
+                         **extra.get(key, {}))
+    sub.set_defaults(fn=fn)
 
 
 def _taps_for(profile: str):
@@ -245,9 +269,7 @@ def cmd_gen_pss(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    defaults = {"root": 25, "size_n": 128, "clusters": 8, "seed": 0,
-                "restarts": 0, "out": None, "output_dir": "."}
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     root = resolved["root"]
     if root not in PSS_ROOTS:
         raise CliError(f"root must be one of {PSS_ROOTS}")
@@ -267,9 +289,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    defaults = {"engines": DEFAULT_ENGINES, "pfa": DEFAULT_PFA,
-                "trials": 2000, "seed": 0, "jobs": 1, "output_dir": "."}
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     configs = parse_engines(resolved["engines"])
     out_dir = resolved["output_dir"]
     table = calibrate_thresholds(
@@ -306,13 +326,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_pmd(args) -> int:
-    defaults = {
-        "engines": DEFAULT_ENGINES, "snr": "-12:0:1", "trials": 1000,
-        "pfa": DEFAULT_PFA, "cal_trials": 2000, "seed": 0, "jobs": 1,
-        "ppm": 0.0, "profile": "awgn", "fading": "static",
-        "thresholds": None, "output_dir": ".",
-    }
-    resolved = _resolve(args, defaults, also={
+    resolved = _resolve(args, also={
         "snr": lambda v: isinstance(v, list) and all(map(_number, v)),
         "thresholds": _table})
     configs = parse_engines(resolved["engines"])
@@ -347,14 +361,7 @@ def cmd_pmd(args) -> int:
 
 
 def cmd_acq(args) -> int:
-    defaults = {
-        "engines": DEFAULT_ENGINES, "snr": -5.0, "ppm": 5.0,
-        "trials": 500, "max_half_frames": 200, "pfa": DEFAULT_PFA,
-        "cal_trials": 2000, "seed": 0, "jobs": 1, "profile": "tu6",
-        "fading": "rayleigh_block", "doppler_hz": 0.0,
-        "thresholds": None, "output_dir": ".",
-    }
-    resolved = _resolve(args, defaults, also={"thresholds": _table})
+    resolved = _resolve(args, also={"thresholds": _table})
     configs = parse_engines(resolved["engines"])
     resolved["thresholds"] = _load_thresholds(resolved, configs)
     results = acquisition_experiment(
@@ -420,22 +427,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_gen_pss)
 
-    p = subs.add_parser("cluster", help="build and save a cluster table")
-    p.add_argument("--config")
-    p.add_argument("--root", type=int)
-    p.add_argument("--size-n", dest="size_n", type=int)
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--out")
-    p.add_argument("--output-dir", dest="output_dir")
-    p.set_defaults(fn=cmd_cluster)
-
-    p = subs.add_parser("calibrate", help="calibrate CFAR thresholds")
-    _add_common(p)
-    p.add_argument("--pfa", type=float)
-    p.add_argument("--trials", type=int)
-    p.set_defaults(fn=cmd_calibrate)
+    engines = dict(help="comma list, e.g. " + DEFAULT_ENGINES)
+    thresholds = dict(help="thresholds.json from calibrate")
+    profile = dict(choices=("awgn", "tu6"))
+    _add_options(subs, "cluster", cmd_cluster, "build and save a cluster table")
+    _add_options(subs, "calibrate", cmd_calibrate, "calibrate CFAR thresholds",
+                 engines=engines)
 
     p = subs.add_parser("detect", help="run one engine over a stored stream")
     p.add_argument("--stream", required=True, help="IQ file with sidecar")
@@ -446,32 +443,18 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_detect)
 
-    p = subs.add_parser("pmd", help="missed-detection probability sweep")
-    _add_common(p)
-    p.add_argument("--snr", help="grid: '-12:0:1' or '-8,-6,-4'")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--pfa", type=float)
-    p.add_argument("--cal-trials", dest="cal_trials", type=int)
-    p.add_argument("--ppm", type=float)
-    p.add_argument("--profile", choices=("awgn", "tu6"))
-    # Jakes fading needs a Doppler shift, which only acq takes.
-    p.add_argument("--fading", choices=("static", "rayleigh_block"))
-    p.add_argument("--thresholds", help="thresholds.json from calibrate")
-    p.set_defaults(fn=cmd_pmd)
-
-    p = subs.add_parser("acq", help="acquisition time experiment")
-    _add_common(p)
-    p.add_argument("--snr", type=float)
-    p.add_argument("--ppm", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--max-half-frames", dest="max_half_frames", type=int)
-    p.add_argument("--pfa", type=float)
-    p.add_argument("--cal-trials", dest="cal_trials", type=int)
-    p.add_argument("--profile", choices=("awgn", "tu6"))
-    p.add_argument("--fading", choices=ch.FADING_MODES)
-    p.add_argument("--doppler-hz", dest="doppler_hz", type=float)
-    p.add_argument("--thresholds", help="thresholds.json from calibrate")
-    p.set_defaults(fn=cmd_acq)
+    _add_options(
+        subs, "pmd", cmd_pmd, "missed-detection probability sweep",
+        engines=engines, thresholds=thresholds, profile=profile,
+        snr=dict(help="grid: '-12:0:1' or '-8,-6,-4'"),
+        # Jakes fading needs a Doppler shift, which only acq takes.
+        fading=dict(choices=("static", "rayleigh_block")),
+    )
+    _add_options(
+        subs, "acq", cmd_acq, "acquisition time experiment",
+        engines=engines, thresholds=thresholds, profile=profile,
+        fading=dict(choices=ch.FADING_MODES),
+    )
 
     p = subs.add_parser("bench-ops", help="per-sample operation counts")
     p.add_argument("--engines", default=DEFAULT_ENGINES)

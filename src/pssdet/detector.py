@@ -30,8 +30,11 @@ serves every SNR point.
 
 Both experiments run one trial loop, which finds each engine's first
 correctly detecting half frame up to a cap.  Pmd is the share of
-trials with none when the cap is one half frame.  Channels are
-validated before any calibration.
+trials with none when the cap is one half frame.  Each experiment
+builds one ChannelScenario per SNR point, which validates it before any
+calibration; every trial and every block-fading half frame is a copy of
+it made with dataclasses.replace, differing only in timing offset and
+seed.
 
 Seeds split additively: trial t of a run uses base_seed + t, and each
 experiment point strides its base by 10**6 so points never overlap.
@@ -70,6 +73,8 @@ POINT_SEED_STRIDE = 10**6
 CALIBRATION_SEED_STRIDE = 777 * POINT_SEED_STRIDE
 DEFAULT_PFA = 0.1
 WILSON_Z = 1.96
+# The Pmd level whose SNR crossing the engines are compared at.
+PMD_CROSSING_LEVEL = 0.1
 
 
 @dataclass(frozen=True)
@@ -281,23 +286,23 @@ def calibrate_threshold(
 # The trial loop both experiments run.
 # ---------------------------------------------------------------------------
 
-def _trial_scenario(rng, snr_db, channel, sym_len):
-    max_delay = max(d for d, _ in channel["taps"])
+def _trial_scenario(rng, point: ChannelScenario, sym_len):
+    max_delay = int(point.delays.max())
     theta = int(rng.integers(0, HALF_FRAME_LEN - sym_len - max_delay + 1))
-    return ChannelScenario(snr_db=snr_db, timing_offset=theta,
-                           seed=int(rng.integers(0, 2**63)), **channel)
+    return dataclasses.replace(point, timing_offset=theta,
+                               seed=int(rng.integers(0, 2**63)))
 
 
 def _trial_chunk(start, stop, payload):
     """Per trial and engine: the 1-based half frame of the first correct
     detection, or 0 if none came within max_hf half frames."""
-    configs, thresholds, snr_db, channel, base_seed, max_hf = payload
+    configs, thresholds, point, base_seed, max_hf = payload
     batch = _cached_batch(configs)
     tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
     first = np.zeros((stop - start, len(configs)), dtype=np.int64)
     for t in range(start, stop):
         rng = np.random.default_rng(base_seed + t)
-        scen = _trial_scenario(rng, snr_db, channel, len(tx.samples))
+        scen = _trial_scenario(rng, point, len(tx.samples))
         done = [0] * len(configs)
 
         if scen.fading == "rayleigh_jakes":
@@ -315,11 +320,7 @@ def _trial_chunk(start, stop, payload):
             def frame(i):
                 if i == 0:
                     return embed_pss_in_halfframe(tx, scen)
-                # Rebuilt from the given taps: renormalizing the already
-                # normalized powers can move them by an ulp.
-                fresh = dataclasses.replace(
-                    scen, taps=channel["taps"], seed=int(rng.integers(0, 2**63))
-                )
+                fresh = dataclasses.replace(scen, seed=int(rng.integers(0, 2**63)))
                 return embed_pss_in_halfframe(tx, fresh)
 
         for i in range(max_hf):
@@ -334,12 +335,10 @@ def _trial_chunk(start, stop, payload):
     return first
 
 
-def _experiment_thresholds(configs, thresholds, snr_points, channel, trials,
-                           pfa, calibration_trials, base_seed, jobs):
-    """Per-engine thresholds, calibrated here unless supplied, once the
-    channel of every SNR point has been built (and so validated)."""
-    for snr_db in snr_points:
-        ChannelScenario(snr_db=snr_db, **channel)
+def _experiment_thresholds(configs, thresholds, trials, pfa,
+                           calibration_trials, base_seed, jobs):
+    """Per-engine thresholds, calibrated here unless supplied.  Callers
+    build (and so validate) their channels first."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if thresholds is None:
@@ -354,10 +353,11 @@ def _experiment_thresholds(configs, thresholds, snr_points, channel, trials,
 # Missed-detection probability sweep.
 # ---------------------------------------------------------------------------
 
-def wilson_ci(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at WILSON_Z."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -403,15 +403,20 @@ def pmd_experiment(
     from base_seed + (p + 1) * POINT_SEED_STRIDE.
     """
     configs = list(engines)
-    grid = [float(s) for s in snr_grid_db]
-    channel = dict(taps=tuple(taps), fading=fading, cfo_ppm=cfo_ppm,
-                   doppler_hz=doppler_hz)
-    lam = _experiment_thresholds(configs, thresholds, grid, channel, trials,
-                                 pfa, calibration_trials, base_seed, jobs)
+    scenarios = [
+        ChannelScenario(taps=taps, fading=fading, snr_db=float(s),
+                        cfo_ppm=cfo_ppm, doppler_hz=doppler_hz)
+        for s in snr_grid_db
+    ]
+    if not scenarios:
+        raise ValueError("the SNR grid is empty")
+    lam = _experiment_thresholds(configs, thresholds, trials, pfa,
+                                 calibration_trials, base_seed, jobs)
     points = []
-    for p, snr_db in enumerate(grid):
+    for p, scenario in enumerate(scenarios):
+        snr_db = scenario.snr_db
         point_seed = base_seed + (p + 1) * POINT_SEED_STRIDE
-        payload = (tuple(configs), lam, snr_db, channel, point_seed, 1)
+        payload = (tuple(configs), lam, scenario, point_seed, 1)
         first = np.concatenate(_chunked(_trial_chunk, trials, jobs, payload))
         misses = np.count_nonzero(first == 0, axis=0)
         for c, m in zip(configs, misses):
@@ -429,9 +434,10 @@ def pmd_experiment(
     return points
 
 
-def pmd_crossing_db(points, engine_key: str, level: float = 0.1) -> float:
-    """SNR where an engine's Pmd curve crosses ``level``, by linear
-    interpolation between the bracketing grid points."""
+def pmd_crossing_db(points, engine_key: str) -> float:
+    """SNR where an engine's Pmd curve crosses PMD_CROSSING_LEVEL, by
+    linear interpolation between the bracketing grid points."""
+    level = PMD_CROSSING_LEVEL
     series = sorted(
         (p.snr_db, p.pmd) for p in points if p.engine_key == engine_key
     )
@@ -479,14 +485,13 @@ def acquisition_experiment(
     see the same streams, so acquisition times are paired.
     """
     configs = list(engines)
-    channel = dict(taps=tuple(taps), fading=fading, cfo_ppm=cfo_ppm,
-                   doppler_hz=doppler_hz)
+    scenario = ChannelScenario(taps=taps, fading=fading, snr_db=float(snr_db),
+                               cfo_ppm=cfo_ppm, doppler_hz=doppler_hz)
     if max_half_frames < 1:
         raise ValueError("max_half_frames must be at least 1")
-    lam = _experiment_thresholds(configs, thresholds, [snr_db], channel, trials,
-                                 pfa, calibration_trials, base_seed, jobs)
-    payload = (tuple(configs), lam, float(snr_db), channel, base_seed,
-               max_half_frames)
+    lam = _experiment_thresholds(configs, thresholds, trials, pfa,
+                                 calibration_trials, base_seed, jobs)
+    payload = (tuple(configs), lam, scenario, base_seed, max_half_frames)
     first = np.concatenate(_chunked(_trial_chunk, trials, jobs, payload))
     rows = []
     for t, row in enumerate(first.tolist()):
@@ -516,7 +521,7 @@ def acquisition_cdf(results, max_half_frames: int = 200):
     return rows
 
 
-def median_time_ci(results, engine_key: str, z: float = WILSON_Z):
+def median_time_ci(results, engine_key: str):
     """Median acquisition time with an order-statistic confidence band.
 
     Censored trials enter as +inf, so a median landing on a censored
@@ -531,7 +536,7 @@ def median_time_ci(results, engine_key: str, z: float = WILSON_Z):
     if n == 0:
         raise ValueError(f"no results for engine {engine_key}")
     median = float(np.median(times))
-    half = z * math.sqrt(n) / 2.0
+    half = WILSON_Z * math.sqrt(n) / 2.0
     lo_rank = max(0, int(math.floor(n / 2.0 - half)))
     hi_rank = min(n - 1, int(math.ceil(n / 2.0 + half)))
     return median, float(times[lo_rank]), float(times[hi_rank])
@@ -567,7 +572,8 @@ def _chunked(fn, trials, jobs, payload):
     randomness from its own index, so the output is identical for any
     job count.
     """
-    jobs = max(1, int(jobs))
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
         return [fn(0, trials, payload)]
     chunk = max(1, math.ceil(trials / (4 * jobs)))

@@ -1,5 +1,7 @@
 """Channel model checks: taps, fading, CFO, framing, stream files."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,20 @@ def test_scenario_normalizes_tap_powers():
     sc = ChannelScenario(taps=((0, -3.0), (2, 0.0), (5, -2.0)))
     assert abs(sc.linear_powers.sum() - 1.0) < 1e-12
     np.testing.assert_array_equal(sc.delays, [0, 2, 5])
+    # The taps are kept as given; only linear_powers normalizes.
+    assert sc.taps == ((0, -3.0), (2, 0.0), (5, -2.0))
+
+
+def test_scenario_replace_is_exact():
+    rng = np.random.default_rng(21)
+    for _ in range(500):
+        n = int(rng.integers(1, 8))
+        delays = np.sort(rng.choice(40, size=n, replace=False))
+        taps = tuple(zip(delays.tolist(), rng.uniform(-30.0, 10.0, n).tolist()))
+        sc = ChannelScenario(taps=taps)
+        copy = dataclasses.replace(sc, seed=1)
+        assert copy.taps == sc.taps
+        np.testing.assert_array_equal(copy.linear_powers, sc.linear_powers)
 
 
 def test_scenario_validation():
@@ -132,6 +148,36 @@ def test_multipath_superposition():
     expected[20: 20 + 137] += g * w.samples
     expected[23: 23 + 137] += g * w.samples
     np.testing.assert_allclose(stream.samples, expected, atol=1e-12)
+
+
+def _per_tap_reference(w, sc, frame_count):
+    """Noiseless stream built tap by tap, each tap with its own CFO ramp,
+    drawing the fading gains in the embedding's order."""
+    rng = np.random.default_rng(sc.seed)
+    out = np.zeros(frame_count * 9600, dtype=complex)
+    procs = None
+    if sc.fading == "rayleigh_jakes":
+        procs = [_JakesProcess(p, sc.doppler_hz, rng) for p in sc.linear_powers]
+    for i in range(frame_count):
+        gains = _tap_gains(sc, rng, len(sc.taps)) if procs is None else None
+        for m, d in enumerate(sc.delays):
+            n = np.arange(len(w.samples)) + i * 9600 + sc.timing_offset + d
+            g = gains[m] if procs is None else procs[m].at(n)
+            ramp = np.exp(2j * np.pi * sc.cfo_hz * n / SAMPLE_RATE_HZ)
+            out[n] += g * w.samples * ramp
+    return out
+
+
+@pytest.mark.parametrize("fading, doppler_hz", [
+    ("rayleigh_block", 0.0), ("rayleigh_jakes", 50.0),
+])
+def test_embed_matches_per_tap_reference(fading, doppler_hz):
+    w = add_cyclic_prefix(pss_time_domain(25, 128))
+    sc = ChannelScenario(taps=TU6_TAPS, fading=fading, cfo_ppm=5.0,
+                         doppler_hz=doppler_hz, timing_offset=300, seed=17)
+    stream = embed_pss_in_halfframe(w, sc, frame_count=2)
+    np.testing.assert_allclose(stream.samples, _per_tap_reference(w, sc, 2),
+                               rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

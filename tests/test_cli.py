@@ -326,7 +326,10 @@ def no_calibration(monkeypatch):
     ([], {"fading": "rayleigh_jakes"}),
     (["--snr", "1e6"], None),
     (["--snr", "-4,3070"], None),
-], ids=["jakes_flag", "jakes_config", "snr_1e6", "snr_3070"])
+    (["--snr=,"], None),
+    (["--snr", "5:1:1"], None),
+], ids=["jakes_flag", "jakes_config", "snr_1e6", "snr_3070", "snr_empty_list",
+        "snr_empty_range"])
 def test_pmd_rejects_bad_channels_before_calibrating(tmp_path, capsys,
                                                      no_calibration, argv, config):
     out = tmp_path / "out"
@@ -405,6 +408,18 @@ def test_acq_rejects_empty_cap(tmp_path, thresholds_file, capsys):
     assert main(args) == 1
     assert "max_half_frames" in capsys.readouterr().err
     assert not (tmp_path / "acq_results.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_acq_rejects_fewer_than_one_job(tmp_path, thresholds_file, capsys, jobs):
+    out = tmp_path / "out"
+    args = ["acq", "--engines", "mf_opt:os2", "--trials", "2",
+            "--max-half-frames", "2", "--profile", "awgn",
+            "--fading", "static", "--thresholds", thresholds_file,
+            "--jobs", jobs, "--output-dir", str(out)]
+    assert main(args) == 1
+    assert "jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

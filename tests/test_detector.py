@@ -294,15 +294,15 @@ def test_pmd_crossing_requires_bracket():
 
 
 def test_trial_scenario_offset_range():
-    channel = dict(taps=((0, 0.0), (10, -3.0)), fading="static", cfo_ppm=0.0,
-                   doppler_hz=0.0)
+    point = ChannelScenario(taps=((0, 0.0), (10, -3.0)), snr_db=-5.0)
     rng = np.random.default_rng(8)
     hf = 9600
     sym = 137
     for _ in range(200):
-        scen = _trial_scenario(rng, -5.0, channel, sym)
+        scen = _trial_scenario(rng, point, sym)
         assert 0 <= scen.timing_offset <= hf - sym - 10
         assert scen.snr_db == -5.0
+        assert scen.taps == point.taps
 
 
 # ---------------------------------------------------------------------------
