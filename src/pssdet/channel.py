@@ -46,7 +46,8 @@ class ChannelScenario:
     """One reproducible channel draw.
 
     ``taps`` are (delay_samples, mean_power_db) pairs with non-negative
-    strictly increasing integer delays.  They are kept as given and
+    strictly increasing integer delays and powers that are finite or
+    -inf (a silent tap), at least one finite.  They are kept as given and
     ``linear_powers`` normalizes them to sum to one, so a copy made with
     ``dataclasses.replace`` has exactly the same channel.  ``snr_db``
     must be finite and at most MAX_SNR_DB, or +inf for noiseless runs;
@@ -70,6 +71,11 @@ class ChannelScenario:
         if delays[0] < 0 or any(b <= a for a, b in zip(delays, delays[1:])):
             raise ValueError(
                 f"tap delays must be non-negative and strictly increasing, got {delays}"
+            )
+        powers = [p for _, p in taps]
+        if any(np.isnan(p) or p == np.inf for p in powers) or max(powers) == -np.inf:
+            raise ValueError(
+                f"tap powers must be finite dB or -inf, not all -inf, got {powers}"
             )
         if not (-np.inf < self.snr_db <= MAX_SNR_DB or self.snr_db == np.inf):
             raise ValueError(f"snr_db must be finite and at most {MAX_SNR_DB:g}, "

@@ -13,13 +13,17 @@ sliding windows and three fixed coefficient vectors: the conjugated
 PSS bodies for the matched filters, the conjugated cluster-quantized
 templates for the clustered engine (the per-cluster sums times the
 conjugated means telescope to exactly that product).  The simulation
-therefore evaluates all engines through one shared window matrix and
-a single matrix product per stream (:class:`BatchEvaluator`, also
-behind :func:`detect`).  Operation counts are booked only in
+therefore evaluates all engines of one rate as one block correlation
+per stream, by overlap-save FFTs against every coefficient column at
+once (:class:`BatchEvaluator`, also behind :func:`detect`).  FFT
+rounding differs from that of a direct sum of products by about 1e-15
+of the largest metric, so calibrated thresholds can differ from those
+of earlier versions, which multiplied a window matrix, in the last one
+or two digits.  Operation counts are booked only in
 :mod:`pssdet.correlator`, per architecture: brute, symmetry-folded
 with conjugate-root sharing, or K-term clustered accumulation.  Those
-architecture implementations are verified against these products in
-the tests; rerunning them per trial would only slow the Monte Carlo
+architecture implementations are verified against these correlations
+in the tests; rerunning them per trial would only slow the Monte Carlo
 down without changing any decision.
 
 Thresholds are constant-false-alarm: the (1 - Pfa) quantile of the
@@ -48,6 +52,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import channel as ch
 from .channel import (
@@ -58,7 +63,6 @@ from .channel import (
     embed_pss_in_halfframe,
 )
 from .clustering import conjugate_table, kmeans_cluster
-from .correlator import _magnitude_sq, _windows
 from .pss import PSS_ROOTS, add_cyclic_prefix, pss_time_domain
 
 ENGINE_KINDS = ("mf_brute", "mf_opt", "cluster")
@@ -68,6 +72,10 @@ TRIAL_ROOT = 25
 # Acceptance window around the true body start, in engine-grid samples
 # (about half the cyclic prefix either side).
 DETECT_TOLERANCE = {1: 4.0, 2: 9.0}
+
+# Overlap-save block length: each BLOCK-point FFT yields BLOCK - N + 1
+# lags.  512 and 2048 points ran within 15% of 1024; 4096 was slower.
+BLOCK = 1024
 
 POINT_SEED_STRIDE = 10**6
 CALIBRATION_SEED_STRIDE = 777 * POINT_SEED_STRIDE
@@ -127,13 +135,83 @@ def engine_coefficients(config: EngineConfig) -> np.ndarray:
     return np.conj(np.stack(templates, axis=1))
 
 
-class BatchEvaluator:
-    """Shared-window metric evaluation for several engines at once.
+class _RateGroup:
+    """The engines at one oversample factor, evaluated by overlap-save.
 
-    Engines at the same oversample factor see identical windows, so
-    their coefficient columns stack into one matrix product per
-    stream.  Raw metric values may differ between batches of different
-    composition at the matrix-blocking rounding level, never more.
+    The stream is cut into BLOCK-sample segments that overlap by N - 1
+    samples; each segment's circular correlation with a coefficient
+    column is exact for its first BLOCK - N + 1 lags.  All segments go
+    through one FFT, all segment x column products through one inverse
+    FFT.  The buffers are kept for the last stream length seen, so
+    steady runs allocate nothing per stream.
+    """
+
+    def __init__(self, decim, size_n, idx, coef):
+        self.decim, self.size_n, self.idx = decim, size_n, idx
+        self.step = BLOCK - size_n + 1
+        # Columns x BLOCK, so every transform runs over a contiguous axis.
+        self.spectrum = np.conj(np.fft.fft(np.conj(coef.T), n=BLOCK))
+        self.length = None
+
+    def _resize(self, length):
+        self.length = length
+        self.lags = length - self.size_n + 1
+        segs = math.ceil(self.lags / self.step)
+        self.padded = np.zeros((segs - 1) * self.step + BLOCK, dtype=complex)
+        self.segments = sliding_window_view(self.padded, BLOCK)[::self.step]
+        self.segment_spectra = np.empty((segs, BLOCK), dtype=complex)
+        self.products = np.empty((segs, *self.spectrum.shape), dtype=complex)
+        # Engines x segments x roots x lags within the segment: each
+        # engine's block is contiguous and every pass runs along lags.
+        self.metric = np.empty((len(self.idx), segs, 3, self.step))
+
+    def evaluate(self, native_samples):
+        """Fill the metric buffer for one native-rate stream."""
+        x = np.asarray(native_samples)[::self.decim]
+        if len(x) < self.size_n:
+            raise ValueError(
+                f"buffer of {len(x)} samples is shorter than N = {self.size_n}")
+        if len(x) != self.length:
+            self._resize(len(x))
+        self.padded[:len(x)] = x
+        np.fft.fft(self.segments, axis=-1, out=self.segment_spectra)
+        np.multiply(self.segment_spectra[:, None, :], self.spectrum,
+                    out=self.products)
+        np.fft.ifft(self.products, axis=-1, out=self.products)
+        # |.|^2 of the valid lags: square real and imaginary parts in
+        # place, then add each pair into the metric buffer.
+        engines, segs = self.metric.shape[:2]
+        parts = self.products.view(float)[:, :, :2 * self.step]
+        np.square(parts, out=parts)
+        parts = parts.reshape(segs, engines, 3, self.step, 2).swapaxes(0, 1)
+        np.add(parts[..., 0], parts[..., 1], out=self.metric)
+        # Lags past the last full window correlate with the zero padding.
+        self.metric[:, -1, :, self.lags - (segs - 1) * self.step:] = -np.inf
+
+    def values(self, j):
+        """Engine j's metric per (lag, root), as a new array."""
+        return np.concatenate(self.metric[j].swapaxes(1, 2))[:self.lags]
+
+    def peak(self, j):
+        """Engine j's (metric, lag, root index) at its maximum.  Exact
+        ties go to the earliest segment, then root, then lag."""
+        seg, rest = divmod(int(np.argmax(self.metric[j])), 3 * self.step)
+        root_idx, k = divmod(rest, self.step)
+        return float(self.metric[j, seg, root_idx, k]), seg * self.step + k, root_idx
+
+
+class BatchEvaluator:
+    """Metric evaluation for several engines at once.
+
+    Engines at the same oversample factor share one decimated stream,
+    so their coefficient columns share one overlap-save pass per
+    stream: one forward FFT of the stream's segments, one product with
+    the columns' spectra (computed once, here) and one inverse FFT.
+    The values equal the sliding-window inner products up to FFT
+    rounding, about 1e-15 of the largest metric.  The evaluator reuses
+    its buffers from stream to stream, so one instance must not be
+    shared between threads; ``metric_values`` returns arrays the caller
+    owns.
     """
 
     def __init__(self, configs):
@@ -144,27 +222,24 @@ class BatchEvaluator:
             if idx:
                 coef = np.concatenate([engine_coefficients(self.configs[i])
                                        for i in idx], axis=1)
-                self._groups.append((decim, self.configs[idx[0]].size_n, idx, coef))
+                self._groups.append(
+                    _RateGroup(decim, self.configs[idx[0]].size_n, idx, coef))
+
+    def _per_engine(self, native_samples, read):
+        out = [None] * len(self.configs)
+        for group in self._groups:
+            group.evaluate(native_samples)
+            for j, i in enumerate(group.idx):
+                out[i] = read(group, j)
+        return out
 
     def metric_values(self, native_samples: np.ndarray):
         """Per engine: metric values per (lag on the engine grid, root)."""
-        out = [None] * len(self.configs)
-        for decim, size_n, idx, coef in self._groups:
-            # The contiguous window copy is the largest array here; as a
-            # temporary it is freed before the next group builds its own.
-            w = _windows(native_samples[::decim], size_n, "sliding")
-            values = _magnitude_sq(np.ascontiguousarray(w) @ coef)
-            for j, i in enumerate(idx):
-                out[i] = values[:, 3 * j: 3 * j + 3]
-        return out
+        return self._per_engine(native_samples, _RateGroup.values)
 
     def peaks(self, native_samples: np.ndarray):
         """Per engine: (metric, lag on the engine grid, root index)."""
-        out = []
-        for values in self.metric_values(native_samples):
-            lag, root_idx = divmod(int(np.argmax(values)), 3)
-            out.append((float(values[lag, root_idx]), lag, root_idx))
-        return out
+        return self._per_engine(native_samples, _RateGroup.peak)
 
 
 def _score(peak, config: EngineConfig, threshold: float, stream: RxStream) -> bool:

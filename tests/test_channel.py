@@ -57,6 +57,14 @@ def test_scenario_validation():
         ChannelScenario(taps=((-1, 0.0),))
     with pytest.raises(ValueError):
         ChannelScenario(taps=((0, 0.0), (0, -3.0)))
+    # A -inf tap is a silent one, but NaN, +inf and all-silent powers
+    # normalize to NaN gains.
+    ChannelScenario(taps=((0, 0.0), (3, -np.inf)))
+    for power in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tap powers"):
+            ChannelScenario(taps=((0, 0.0), (3, power)))
+    with pytest.raises(ValueError, match="tap powers"):
+        ChannelScenario(taps=((0, -np.inf), (3, -np.inf)))
     with pytest.raises(ValueError):
         ChannelScenario(fading="ricean")
     with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pssdet import (
     AcquisitionResult,
@@ -27,14 +29,22 @@ from pssdet import (
     pss_time_domain,
     wilson_ci,
 )
+from pssdet.correlator import _windows
 from pssdet.detector import (
+    BLOCK,
     POINT_SEED_STRIDE,
     PmdPoint,
     _score,
     _trial_scenario,
     engine_coefficients,
 )
-from pssdet.channel import HALF_FRAME_SEC, NOISE_FLOOR_VARIANCE, TU6_TAPS, RxStream
+from pssdet.channel import (
+    HALF_FRAME_LEN,
+    HALF_FRAME_SEC,
+    NOISE_FLOOR_VARIANCE,
+    TU6_TAPS,
+    RxStream,
+)
 
 
 def noise(rng, length, variance=1.0):
@@ -172,6 +182,70 @@ def test_batch_peaks_match_single_engine_metrics():
             assert peak[1] == lag
             assert peak[2] == root_idx
             assert abs(peak[0] - values[lag, root_idx]) < 1e-9 * values[lag, root_idx]
+
+
+ENGINE_POOL = (
+    EngineConfig("mf_brute", oversample=1),
+    EngineConfig("mf_brute", oversample=2),
+    EngineConfig("mf_opt", oversample=1),
+    EngineConfig("mf_opt", oversample=2),
+    EngineConfig("cluster", num_clusters=6, oversample=1),
+    EngineConfig("cluster", num_clusters=8, oversample=2),
+    EngineConfig("cluster", num_clusters=16, oversample=2),
+)
+
+
+def _shortest_stream(configs):
+    """Fewest native samples that give every engine one full window."""
+    return max(c.size_n * c.decimation - (c.decimation - 1) for c in configs)
+
+
+@st.composite
+def _batch_and_length(draw):
+    configs = tuple(draw(st.lists(st.sampled_from(ENGINE_POOL), min_size=1,
+                                  max_size=5, unique=True)))
+    # Past three blocks on the 1x grid too, which keeps every other sample.
+    length = draw(st.integers(_shortest_stream(configs), 6 * BLOCK + 300))
+    return configs, length
+
+
+_OS2_STEP = BLOCK - 128 + 1
+
+
+@settings(deadline=None)
+@given(case=_batch_and_length(), seed=st.integers(0, 2**32 - 1))
+@example(case=((ENGINE_POOL[3],), 128), seed=0)  # exactly N
+@example(case=((ENGINE_POOL[2],), 127), seed=0)  # exactly N after decimation
+@example(case=((ENGINE_POOL[6],), 127 + 2 * _OS2_STEP), seed=1)  # whole segments
+@example(case=(ENGINE_POOL, HALF_FRAME_LEN), seed=2)
+def test_batch_metric_matches_window_products(case, seed):
+    configs, length = case
+    r = noise(np.random.default_rng(seed), length)
+    batch = BatchEvaluator(configs)
+    peaks = batch.peaks(r)
+    for config, values, peak in zip(configs, batch.metric_values(r), peaks):
+        w = _windows(r[::config.decimation], config.size_n, "sliding")
+        ref = np.abs(w @ engine_coefficients(config)) ** 2
+        assert values.shape == ref.shape
+        assert np.max(np.abs(values - ref)) <= 1e-12 * ref.max()
+        second, top = np.partition(ref.ravel(), -2)[-2:]
+        if top - second > 1e-9 * top:
+            assert peak[1:] == divmod(int(np.argmax(ref)), 3)
+
+
+def test_metric_values_survive_buffer_reuse():
+    # A half frame, a ten-half-frame stream that resizes the buffers, and
+    # a half frame again: every result must equal a fresh evaluator's,
+    # also after later calls have reused the buffers.
+    configs = [EngineConfig("mf_opt", oversample=1),
+               EngineConfig("cluster", num_clusters=8)]
+    rng = np.random.default_rng(6)
+    streams = [noise(rng, n * HALF_FRAME_LEN) for n in (1, 10, 1)]
+    batch = BatchEvaluator(configs)
+    results = [batch.metric_values(r) for r in streams]
+    for r, got in zip(streams, results):
+        for a, b in zip(got, BatchEvaluator(configs).metric_values(r)):
+            np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
