@@ -46,8 +46,10 @@ class ChannelScenario:
     """One reproducible channel draw.
 
     ``taps`` are (delay_samples, mean_power_db) pairs with non-negative
-    strictly increasing integer delays and powers that are finite or
-    -inf (a silent tap), at least one finite.  They are kept as given and
+    strictly increasing integer delays and powers whose linear values
+    10**(p/10) sum to a positive finite number (-inf is a silent tap;
+    NaN, +inf, all-silent taps and sums that overflow or underflow are
+    rejected).  They are kept as given and
     ``linear_powers`` normalizes them to sum to one, so a copy made with
     ``dataclasses.replace`` has exactly the same channel.  ``snr_db``
     must be finite and at most MAX_SNR_DB, or +inf for noiseless runs;
@@ -73,9 +75,15 @@ class ChannelScenario:
                 f"tap delays must be non-negative and strictly increasing, got {delays}"
             )
         powers = [p for _, p in taps]
-        if any(np.isnan(p) or p == np.inf for p in powers) or max(powers) == -np.inf:
+        try:
+            total = sum(10.0 ** (p / 10.0) for p in powers)
+        except OverflowError:
+            total = np.inf
+        # NaN fails both comparisons.
+        if not 0.0 < total < np.inf:
             raise ValueError(
-                f"tap powers must be finite dB or -inf, not all -inf, got {powers}"
+                f"tap powers must be dB values whose linear powers sum to a "
+                f"positive finite number, got {powers}"
             )
         if not (-np.inf < self.snr_db <= MAX_SNR_DB or self.snr_db == np.inf):
             raise ValueError(f"snr_db must be finite and at most {MAX_SNR_DB:g}, "
@@ -135,6 +143,22 @@ class RxStream:
     true_root: int | None = None
     pss_starts: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
     half_frame_len: int | None = None
+
+
+def fill_floor_noise(rng, out, draws):
+    """Fill ``out`` (complex, length L) with circularly symmetric
+    Gaussian noise of variance NOISE_FLOOR_VARIANCE, and return it.
+
+    ``draws`` is a float scratch buffer of length 2L: the first L
+    standard normals become the real parts, the next L the imaginary
+    parts, so the values and the generator state afterwards equal those
+    of two standard_normal(L) calls.
+    """
+    rng.standard_normal(out=draws)
+    out.real = draws[:len(out)]
+    out.imag = draws[len(out):]
+    out *= np.sqrt(NOISE_FLOOR_VARIANCE / 2.0)
+    return out
 
 
 def _tap_gains(scenario, rng, num_taps):
@@ -197,8 +221,8 @@ def embed_pss_in_halfframe(w, scenario: ChannelScenario, frame_count: int = 1) -
         stream = np.zeros(length, dtype=complex)
         amp = 1.0
     else:
-        noise = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-        stream = np.sqrt(NOISE_FLOOR_VARIANCE / 2.0) * noise
+        stream = fill_floor_noise(rng, np.empty(length, dtype=complex),
+                                  np.empty(2 * length))
         body_power = float(np.mean(np.abs(w.body) ** 2))
         amp = float(
             np.sqrt(10.0 ** (scenario.snr_db / 10.0) * NOISE_FLOOR_VARIANCE / body_power)

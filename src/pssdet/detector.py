@@ -34,11 +34,21 @@ serves every SNR point.
 
 Both experiments run one trial loop, which finds each engine's first
 correctly detecting half frame up to a cap.  Pmd is the share of
-trials with none when the cap is one half frame.  Each experiment
-builds one ChannelScenario per SNR point, which validates it before any
-calibration; every trial and every block-fading half frame is a copy of
-it made with dataclasses.replace, differing only in timing offset and
-seed.
+trials with none when the cap is one half frame.  The loop runs the
+full pass only on half frames where some engine can still be correct:
+a correct detection needs the true root's metric above the threshold
+within the tolerance window around the true start, so a gate first
+reads that window by direct inner products
+(:meth:`BatchEvaluator.window_peaks`, at most 19 windows per rate)
+and skips the pass when every engine still searching stays at or
+below threshold * (1 - GATE_MARGIN).  GATE_MARGIN = 1e-9 is six orders
+wider than the FFT/direct rounding gap, so the gate never skips a half
+frame the full pass would have scored, and outputs do not change.
+
+Each experiment builds one ChannelScenario per SNR point, which
+validates it before any calibration; every trial and every
+block-fading half frame is a copy of it made with
+dataclasses.replace, differing only in timing offset and seed.
 
 Seeds split additively: trial t of a run uses base_seed + t, and each
 experiment point strides its base by 10**6 so points never overlap.
@@ -72,6 +82,10 @@ TRIAL_ROOT = 25
 # Acceptance window around the true body start, in engine-grid samples
 # (about half the cyclic prefix either side).
 DETECT_TOLERANCE = {1: 4.0, 2: 9.0}
+
+# Relative margin of the trial loop's gate (see the module docstring):
+# FFT and direct metrics differ by about 1e-15 of the largest metric.
+GATE_MARGIN = 1e-9
 
 # Overlap-save block length: each BLOCK-point FFT yields BLOCK - N + 1
 # lags.  512 and 2048 points ran within 15% of 1024; 4096 was slower.
@@ -146,11 +160,14 @@ class _RateGroup:
     steady runs allocate nothing per stream.
     """
 
-    def __init__(self, decim, size_n, idx, coef):
-        self.decim, self.size_n, self.idx = decim, size_n, idx
-        self.step = BLOCK - size_n + 1
+    def __init__(self, config, idx, coef):
+        self.decim, self.size_n, self.idx = config.decimation, config.size_n, idx
+        self.tolerance = DETECT_TOLERANCE[config.oversample]
+        self.step = BLOCK - self.size_n + 1
         # Columns x BLOCK, so every transform runs over a contiguous axis.
         self.spectrum = np.conj(np.fft.fft(np.conj(coef.T), n=BLOCK))
+        self.coef = coef
+        self.bands = {}
         self.length = None
 
     def _resize(self, length):
@@ -192,6 +209,35 @@ class _RateGroup:
         """Engine j's metric per (lag, root), as a new array."""
         return np.concatenate(self.metric[j].swapaxes(1, 2))[:self.lags]
 
+    def _band(self, root_idx):
+        """One root's column of every engine, shifted down one row per
+        lag of a tolerance window: the samples from a window's first lag
+        on, times this matrix, give every engine's inner product at each
+        of its lags (column lag * engines + engine)."""
+        engines = len(self.idx)
+        lags = int(2 * self.tolerance) + 1
+        band = np.zeros((self.size_n + lags - 1, lags, engines), dtype=complex)
+        for k in range(lags):
+            band[k:k + self.size_n, k] = self.coef[:, root_idx::3]
+        return band.reshape(self.size_n + lags - 1, lags * engines)
+
+    def window_peak(self, native_samples, start, root_idx):
+        """Per engine: the largest metric of one root over the lags
+        within the detection tolerance of native position ``start``,
+        from direct inner products; -inf if no such lag is valid."""
+        x = np.asarray(native_samples)[::self.decim]
+        center = start / self.decim
+        lo = max(math.ceil(center - self.tolerance), 0)
+        hi = min(math.floor(center + self.tolerance), len(x) - self.size_n)
+        lags = hi - lo + 1
+        if lags < 1:
+            return np.full(len(self.idx), -np.inf)
+        if root_idx not in self.bands:
+            self.bands[root_idx] = self._band(root_idx)
+        band = self.bands[root_idx][:lags + self.size_n - 1, :lags * len(self.idx)]
+        magnitudes = np.abs(x[lo:hi + self.size_n] @ band).reshape(lags, -1)
+        return magnitudes.max(axis=0) ** 2
+
     def peak(self, j):
         """Engine j's (metric, lag, root index) at its maximum.  Exact
         ties go to the earliest segment, then root, then lag."""
@@ -222,8 +268,7 @@ class BatchEvaluator:
             if idx:
                 coef = np.concatenate([engine_coefficients(self.configs[i])
                                        for i in idx], axis=1)
-                self._groups.append(
-                    _RateGroup(decim, self.configs[idx[0]].size_n, idx, coef))
+                self._groups.append(_RateGroup(self.configs[idx[0]], idx, coef))
 
     def _per_engine(self, native_samples, read):
         out = [None] * len(self.configs)
@@ -240,6 +285,22 @@ class BatchEvaluator:
     def peaks(self, native_samples: np.ndarray):
         """Per engine: (metric, lag on the engine grid, root index)."""
         return self._per_engine(native_samples, _RateGroup.peak)
+
+    def window_peaks(self, native_samples: np.ndarray, start, root_idx: int):
+        """Per engine: the largest metric of root ``root_idx`` over the
+        lags within DETECT_TOLERANCE of native position ``start`` (on
+        the engine grid, clipped to the valid lags), as an array.
+
+        These are direct inner products, one vector-matrix product per
+        rate group (the window's samples times the root's coefficients
+        shifted once per lag, built on first use), so they cost a few
+        windows, not a pass over the stream; they equal
+        ``metric_values`` at those lags up to FFT rounding.
+        """
+        out = np.empty(len(self.configs))
+        for group in self._groups:
+            out[group.idx] = group.window_peak(native_samples, start, root_idx)
+        return out
 
 
 def _score(peak, config: EngineConfig, threshold: float, stream: RxStream) -> bool:
@@ -299,18 +360,17 @@ def detect(stream: RxStream, config: EngineConfig, threshold: float) -> Detectio
 # Threshold calibration.
 # ---------------------------------------------------------------------------
 
-def _noise_halfframe(rng, length):
-    z = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    return np.sqrt(ch.NOISE_FLOOR_VARIANCE / 2.0) * z
-
-
 def _calibrate_chunk(start, stop, payload):
-    configs, length, seed = payload
+    configs, seed = payload
     batch = _cached_batch(configs)
     out = np.empty((stop - start, len(configs)))
+    # One noise half frame at a time, drawn into buffers the chunk reuses
+    # (peaks copies what it reads).
+    draws = np.empty(2 * HALF_FRAME_LEN)
+    samples = np.empty(HALF_FRAME_LEN, dtype=complex)
     for t in range(start, stop):
         rng = np.random.default_rng(seed + t)
-        peaks = batch.peaks(_noise_halfframe(rng, length))
+        peaks = batch.peaks(ch.fill_floor_noise(rng, samples, draws))
         out[t - start] = [p[0] for p in peaks]
     return out
 
@@ -320,7 +380,6 @@ def calibrate_thresholds(
     pfa: float = DEFAULT_PFA,
     trials: int = 2000,
     seed: int = 0,
-    stream_len: int | None = None,
     jobs: int = 1,
 ) -> dict[str, float]:
     """Empirical (1 - pfa) quantiles of the noise-only maximum metric.
@@ -335,7 +394,7 @@ def calibrate_thresholds(
     if trials < 100:
         raise ValueError("calibration needs at least 100 trials")
     configs = tuple(engines)
-    payload = (configs, stream_len or HALF_FRAME_LEN, seed)
+    payload = (configs, seed)
     maxima = np.concatenate(_chunked(_calibrate_chunk, trials, jobs, payload))
     quantiles = np.quantile(maxima, 1.0 - pfa, axis=0)
     return {c.key: float(q) for c, q in zip(configs, quantiles)}
@@ -346,14 +405,11 @@ def calibrate_threshold(
     pfa: float = DEFAULT_PFA,
     trials: int = 2000,
     seed: int = 0,
-    stream_len: int | None = None,
     jobs: int = 1,
 ) -> float:
     """Single-engine convenience wrapper around calibrate_thresholds."""
-    table = calibrate_thresholds(
-        [engine], pfa=pfa, trials=trials, seed=seed, stream_len=stream_len,
-        jobs=jobs,
-    )
+    table = calibrate_thresholds([engine], pfa=pfa, trials=trials, seed=seed,
+                                 jobs=jobs)
     return next(iter(table.values()))
 
 
@@ -370,10 +426,22 @@ def _trial_scenario(rng, point: ChannelScenario, sym_len):
 
 def _trial_chunk(start, stop, payload):
     """Per trial and engine: the 1-based half frame of the first correct
-    detection, or 0 if none came within max_hf half frames."""
+    detection, or 0 if none came within max_hf half frames.
+
+    Every half frame is synthesized, so the random draws do not depend
+    on what is scored.  Before the full overlap-save pass, a gate reads
+    the true root's metric over each engine's tolerance window around
+    the true start (``BatchEvaluator.window_peaks``).  A correct
+    detection is a global maximum on the true root, inside that window
+    and above the threshold, so an engine whose window maximum is at
+    most ``threshold * (1 - GATE_MARGIN)`` cannot score here; when that
+    holds for every engine still searching, the pass is skipped.
+    """
     configs, thresholds, point, base_seed, max_hf = payload
     batch = _cached_batch(configs)
     tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
+    root_idx = PSS_ROOTS.index(TRIAL_ROOT)
+    gates = [lam * (1.0 - GATE_MARGIN) for lam in thresholds]
     first = np.zeros((stop - start, len(configs)), dtype=np.int64)
     for t in range(start, stop):
         rng = np.random.default_rng(base_seed + t)
@@ -402,6 +470,9 @@ def _trial_chunk(start, stop, payload):
             if all(done):
                 break
             stream = frame(i)
+            near = batch.window_peaks(stream.samples, stream.pss_starts[0], root_idx)
+            if all(d or v <= g for d, v, g in zip(done, near, gates)):
+                continue
             peaks = batch.peaks(stream.samples)
             for e, config in enumerate(configs):
                 if not done[e] and _score(peaks[e], config, thresholds[e], stream):

@@ -23,6 +23,7 @@ from pssdet.channel import (
     TU6_TAPS,
     _JakesProcess,
     _tap_gains,
+    fill_floor_noise,
 )
 
 
@@ -65,6 +66,11 @@ def test_scenario_validation():
             ChannelScenario(taps=((0, 0.0), (3, power)))
     with pytest.raises(ValueError, match="tap powers"):
         ChannelScenario(taps=((0, -np.inf), (3, -np.inf)))
+    # Finite dB values whose linear sum overflows (to inf, or raising
+    # OverflowError) or underflows to zero leave no channel to normalize.
+    for taps in (((0, 3080.0), (2, 3080.0)), ((0, 4000.0),), ((0, -4000.0),)):
+        with pytest.raises(ValueError, match="tap powers"):
+            ChannelScenario(taps=taps)
     with pytest.raises(ValueError):
         ChannelScenario(fading="ricean")
     with pytest.raises(ValueError):
@@ -267,6 +273,17 @@ def test_embed_noise_floor_is_unit_variance():
     sc = ChannelScenario(snr_db=-60.0, seed=3)
     stream = embed_pss_in_halfframe(w, sc, frame_count=4)
     assert abs(np.mean(np.abs(stream.samples) ** 2) - 1.0) < 0.05
+
+
+def test_floor_noise_keeps_the_two_draw_order():
+    # Real parts from the first L draws, imaginary parts from the next L:
+    # the same values and generator state as two standard_normal(L) calls.
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    want = np.sqrt(NOISE_FLOOR_VARIANCE / 2.0) * (
+        a.standard_normal(1000) + 1j * a.standard_normal(1000))
+    got = fill_floor_noise(b, np.empty(1000, dtype=complex), np.empty(2000))
+    np.testing.assert_array_equal(got, want)
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_embed_block_fading_varies_per_frame():

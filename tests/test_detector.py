@@ -33,11 +33,15 @@ from pssdet.correlator import _windows
 from pssdet.detector import (
     BLOCK,
     POINT_SEED_STRIDE,
+    TRIAL_ROOT,
     PmdPoint,
+    _cached_batch,
     _score,
+    _trial_chunk,
     _trial_scenario,
     engine_coefficients,
 )
+from pssdet.pss import PSS_ROOTS
 from pssdet.channel import (
     HALF_FRAME_LEN,
     HALF_FRAME_SEC,
@@ -249,6 +253,132 @@ def test_metric_values_survive_buffer_reuse():
 
 
 # ---------------------------------------------------------------------------
+# The trial loop's gate: window maxima of the true root near the true start.
+# ---------------------------------------------------------------------------
+
+def _window_max(values, config, start, root_idx):
+    """Largest FFT metric of one root within the tolerance of a native
+    start, or -inf when no valid lag is that close."""
+    lags = np.arange(len(values))
+    tolerance = DETECT_TOLERANCE[config.oversample]
+    near = np.abs(lags - start / config.decimation) <= tolerance
+    return values[near, root_idx].max() if near.any() else -np.inf
+
+
+@st.composite
+def _batch_stream_start(draw):
+    configs, length = draw(_batch_and_length())
+    return configs, length, draw(st.integers(0, length + 20))
+
+
+@settings(deadline=None)
+@given(case=_batch_stream_start(), root_idx=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=(ENGINE_POOL, HALF_FRAME_LEN, 3), root_idx=0, seed=0)  # clipped low
+@example(case=(ENGINE_POOL, HALF_FRAME_LEN, HALF_FRAME_LEN - 125), root_idx=1,
+         seed=1)  # clipped high, odd start
+@example(case=(ENGINE_POOL, 4000, 2001), root_idx=2, seed=2)  # os1 half-sample centre
+@example(case=((ENGINE_POOL[2],), 200, 160), root_idx=0, seed=3)  # no valid os1 lag
+def test_window_peaks_match_fft_metric(case, root_idx, seed):
+    configs, length, start = case
+    r = noise(np.random.default_rng(seed), length)
+    batch = BatchEvaluator(configs)
+    got = batch.window_peaks(r, start, root_idx)
+    assert got.shape == (len(configs),)
+    for config, values, g in zip(configs, batch.metric_values(r), got):
+        want = _window_max(values, config, start, root_idx)
+        if want == -np.inf:
+            assert g == -np.inf
+        else:
+            assert abs(g - want) <= 1e-12 * want
+
+
+MIXED = (
+    EngineConfig("mf_opt", oversample=1),
+    EngineConfig("mf_opt", oversample=2),
+    EngineConfig("cluster", num_clusters=6, oversample=1),
+    EngineConfig("cluster", num_clusters=16, oversample=2),
+)
+
+
+@pytest.fixture(scope="module")
+def mixed_thresholds():
+    lam = calibrate_thresholds(MIXED, pfa=0.1, trials=200, seed=15)
+    return tuple(lam[c.key] for c in MIXED)
+
+
+def _full_trial_chunk(payload, trials):
+    """The trial loop with the gate always open: every half frame gets
+    the full pass."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BatchEvaluator, "window_peaks",
+                   lambda self, *args: np.full(len(self.configs), np.inf))
+        return _trial_chunk(0, trials, payload)
+
+
+def _channel_point(fading, cfo_ppm, snr_db):
+    if fading == "static":
+        return ChannelScenario(snr_db=snr_db, cfo_ppm=cfo_ppm)
+    return ChannelScenario(taps=TU6_TAPS, fading=fading, snr_db=snr_db,
+                           cfo_ppm=cfo_ppm,
+                           doppler_hz=50.0 if fading == "rayleigh_jakes" else 0.0)
+
+
+@settings(deadline=None, max_examples=12)
+@given(fading=st.sampled_from(["static", "rayleigh_block", "rayleigh_jakes"]),
+       cfo_ppm=st.sampled_from([0.0, 5.0]), snr_db=st.floats(-12.0, 0.0),
+       cap=st.sampled_from([1, 30]), seed=st.integers(0, 2**32))
+@example(fading="static", cfo_ppm=0.0, snr_db=-12.0, cap=30, seed=0)
+@example(fading="rayleigh_block", cfo_ppm=5.0, snr_db=-5.0, cap=30, seed=1)
+@example(fading="rayleigh_jakes", cfo_ppm=5.0, snr_db=0.0, cap=1, seed=2)
+@example(fading="rayleigh_jakes", cfo_ppm=0.0, snr_db=-8.0, cap=30, seed=3)
+def test_gated_trial_loop_matches_full_loop(mixed_thresholds, fading, cfo_ppm,
+                                            snr_db, cap, seed):
+    point = _channel_point(fading, cfo_ppm, snr_db)
+    payload = (MIXED, mixed_thresholds, point, seed, cap)
+    np.testing.assert_array_equal(_trial_chunk(0, 4, payload),
+                                  _full_trial_chunk(payload, 4))
+
+
+def test_gate_skips_half_frames_that_cannot_score(monkeypatch, mixed_thresholds):
+    # TU6 block fading at 5 ppm: the correlation peak often leaves the
+    # tolerance window, so most half frames skip the full pass.
+    point = _channel_point("rayleigh_block", 5.0, -5.0)
+    payload = (MIXED, mixed_thresholds, point, 16, 30)
+    full = _full_trial_chunk(payload, 4)
+    calls = []
+    peaks = BatchEvaluator.peaks
+    monkeypatch.setattr(BatchEvaluator, "peaks",
+                        lambda self, x: calls.append(1) or peaks(self, x))
+    first = _trial_chunk(0, 4, payload)
+    np.testing.assert_array_equal(first, full)
+    assert first.any()
+    half_frames = sum(row.max() if row.all() else 30 for row in first)
+    assert len(calls) < half_frames / 2
+
+
+@pytest.mark.parametrize("ulps_below", [0, 1])
+def test_gate_at_threshold_boundary(ulps_below):
+    # Thresholds exactly at each engine's in-window FFT peak (nobody
+    # scores: the metric must exceed the threshold) and one ulp below it
+    # (everybody does): the gate must open in both cases.
+    point, seed = ChannelScenario(snr_db=0.0), 17
+    tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
+    scen = _trial_scenario(np.random.default_rng(seed), point, len(tx.samples))
+    stream = embed_pss_in_halfframe(tx, scen)
+    root_idx = PSS_ROOTS.index(TRIAL_ROOT)
+    lam = []
+    fft_values = _cached_batch(MIXED).metric_values(stream.samples)
+    for config, values in zip(MIXED, fft_values):
+        peak = _window_max(values, config, stream.pss_starts[0], root_idx)
+        lam.append(np.nextafter(peak, -np.inf) if ulps_below else peak)
+    payload = (MIXED, tuple(lam), point, seed, 1)
+    first = _trial_chunk(0, 1, payload)
+    np.testing.assert_array_equal(first, _full_trial_chunk(payload, 1))
+    np.testing.assert_array_equal(first, [[ulps_below] * len(MIXED)])
+
+
+# ---------------------------------------------------------------------------
 # Detection decisions.
 # ---------------------------------------------------------------------------
 
@@ -302,22 +432,20 @@ def test_score_tolerance_edges():
 
 def test_calibration_monotone_in_pfa():
     cfg = EngineConfig("mf_opt", oversample=1)
-    strict = calibrate_threshold(cfg, pfa=0.01, trials=400, seed=6, stream_len=1500)
-    loose = calibrate_threshold(cfg, pfa=0.5, trials=400, seed=6, stream_len=1500)
+    strict = calibrate_threshold(cfg, pfa=0.01, trials=400, seed=6)
+    loose = calibrate_threshold(cfg, pfa=0.5, trials=400, seed=6)
     assert strict > loose > 0
 
 
 def test_calibrated_threshold_hits_target_pfa():
     cfg = [EngineConfig("mf_opt"), EngineConfig("cluster", num_clusters=8)]
-    stream_len = 3000
-    lam = calibrate_thresholds(cfg, pfa=0.1, trials=2000, seed=7,
-                               stream_len=stream_len)
+    lam = calibrate_thresholds(cfg, pfa=0.1, trials=2000, seed=7)
     batch = BatchEvaluator(cfg)
     rng = np.random.default_rng(70_001)
     hits = np.zeros(2)
     trials = 2000
     for _ in range(trials):
-        peaks = batch.peaks(noise(rng, stream_len, NOISE_FLOOR_VARIANCE))
+        peaks = batch.peaks(noise(rng, HALF_FRAME_LEN, NOISE_FLOOR_VARIANCE))
         for i, c in enumerate(cfg):
             hits[i] += peaks[i][0] > lam[c.key]
     for i in range(2):
