@@ -35,12 +35,10 @@ from .clustering import (
     save_table,
 )
 from .correlator import (
-    InterferenceTrace,
     MetricTrace,
     OpCount,
     bench_ops,
     cluster_correlate,
-    interference_term,
     mf_correlate,
     mf_correlate_optimized,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "DetectionResult",
     "EngineConfig",
     "FreqGrid",
-    "InterferenceTrace",
     "MetricTrace",
     "OpCount",
     "PmdPoint",
@@ -103,7 +100,6 @@ __all__ = [
     "conjugate_table",
     "detect",
     "embed_pss_in_halfframe",
-    "interference_term",
     "kmeans_cluster",
     "load_table",
     "map_to_subcarriers",

@@ -36,6 +36,10 @@ JAKES_RAYS = 16
 
 FADING_MODES = ("static", "rayleigh_block", "rayleigh_jakes")
 
+# Spawn-key purposes below a trial's seed (see keyed_rng): half frame i
+# draws from (HALF_FRAME, i), the Jakes rays of all of them from (JAKES,).
+HALF_FRAME, JAKES = 0, 1
+
 # COST 207 Typical Urban, 6 taps: (delay in microseconds, mean power in dB).
 TU6_DELAYS_US = (0.0, 0.2, 0.5, 1.6, 2.3, 5.0)
 TU6_POWERS_DB = (-3.0, 0.0, -2.0, -6.0, -8.0, -10.0)
@@ -54,7 +58,8 @@ class ChannelScenario:
     ``dataclasses.replace`` has exactly the same channel.  ``snr_db``
     must be finite and at most MAX_SNR_DB, or +inf for noiseless runs;
     ``cfo_ppm`` and ``doppler_hz`` must be finite.  ``timing_offset``
-    is theta in samples.
+    is theta in samples.  ``seed`` is the trial's SeedSequence; a
+    non-negative int s stands for SeedSequence(s).
     """
 
     taps: tuple = ((0, 0.0),)
@@ -63,9 +68,11 @@ class ChannelScenario:
     cfo_ppm: float = 0.0
     timing_offset: int = 0
     doppler_hz: float = 0.0
-    seed: int = 0
+    seed: np.random.SeedSequence | int = 0
 
     def __post_init__(self):
+        if not isinstance(self.seed, np.random.SeedSequence) and self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         taps = tuple((int(d), float(p)) for d, p in self.taps)
         if not taps:
             raise ValueError("scenario needs at least one tap")
@@ -142,7 +149,17 @@ class RxStream:
     sample_rate_hz: float
     true_root: int | None = None
     pss_starts: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
-    half_frame_len: int | None = None
+
+
+def keyed_rng(seed, *key: int) -> np.random.Generator:
+    """The generator of ``key`` below ``seed`` (a SeedSequence, or a
+    non-negative int s standing for SeedSequence(s)): the same entropy,
+    the spawn key extended by ``key``.  Keys of different length or
+    value give independent streams, the way SeedSequence.spawn does."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.default_rng(
+        np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + key))
 
 
 def fill_floor_noise(rng, out, draws):
@@ -191,20 +208,24 @@ class _JakesProcess:
         ).sum(axis=1)
 
 
-def embed_pss_in_halfframe(w, scenario: ChannelScenario, frame_count: int = 1) -> RxStream:
-    """Synthesize frame_count half frames with one PSS burst in each.
+def embed_pss_in_halfframe(w, scenario: ChannelScenario, *, half_frame: int = 0) -> RxStream:
+    """Synthesize half frame ``half_frame`` of a trial: HALF_FRAME_LEN
+    samples with one PSS burst.
 
     The noise floor is fixed at unit variance and the waveform is
     scaled so that the mean body-sample power equals
-    10^(snr_db / 10) * floor; with block fading each half frame gets an
-    independent tap draw while Jakes fading evolves continuously.  The
-    reported pss_starts are the symbol body positions (after the cyclic
-    prefix), one per half frame.  Draw order from scenario.seed is
-    fixed: the full noise stream first, then the fading gains frame by
+    10^(snr_db / 10) * floor.  Half frame i covers the trial's absolute
+    samples [i * HALF_FRAME_LEN, (i + 1) * HALF_FRAME_LEN); the CFO ramp
+    and Jakes fading run on those absolute indices, so consecutive half
+    frames are continuous.  Its generator is keyed (HALF_FRAME, i) below
+    scenario.seed and draws the noise first, then the block-fading tap
+    gains; the Jakes rays are drawn from the key (JAKES,), the same for
+    every half frame of the trial.  The reported pss_starts holds the
+    symbol body position (after the cyclic prefix) within the half
     frame.
     """
-    if frame_count < 1:
-        raise ValueError("frame_count must be at least 1")
+    if half_frame < 0:
+        raise ValueError(f"half_frame must be non-negative, got {half_frame}")
     sym = np.asarray(w.samples, dtype=complex)
     theta = scenario.timing_offset
     max_delay = int(scenario.delays.max())
@@ -213,56 +234,44 @@ def embed_pss_in_halfframe(w, scenario: ChannelScenario, frame_count: int = 1) -
             f"timing_offset {theta} leaves no room for the symbol in a "
             f"{HALF_FRAME_LEN}-sample half frame"
         )
-    rng = np.random.default_rng(scenario.seed)
-    length = HALF_FRAME_LEN * frame_count
+    rng = keyed_rng(scenario.seed, HALF_FRAME, half_frame)
 
-    noiseless = not np.isfinite(scenario.snr_db)
-    if noiseless:
-        stream = np.zeros(length, dtype=complex)
+    if not np.isfinite(scenario.snr_db):
+        stream = np.zeros(HALF_FRAME_LEN, dtype=complex)
         amp = 1.0
     else:
-        stream = fill_floor_noise(rng, np.empty(length, dtype=complex),
-                                  np.empty(2 * length))
+        stream = fill_floor_noise(rng, np.empty(HALF_FRAME_LEN, dtype=complex),
+                                  np.empty(2 * HALF_FRAME_LEN))
         body_power = float(np.mean(np.abs(w.body) ** 2))
         amp = float(
             np.sqrt(10.0 ** (scenario.snr_db / 10.0) * NOISE_FLOOR_VARIANCE / body_power)
         )
 
+    # One burst of len(sym) + max_delay samples: the taps' gains times
+    # the burst, summed, then one CFO ramp.
     burst = amp * sym
-    delays = scenario.delays
-    f_cfo = scenario.cfo_hz
-    procs = None
-    if scenario.fading == "rayleigh_jakes":
-        procs = [
-            _JakesProcess(p, scenario.doppler_hz, rng)
-            for p in scenario.linear_powers
-        ]
-
-    # Each half frame receives one burst of len(sym) + max_delay samples:
-    # the taps' gains times the burst, summed, then one CFO ramp.
     n_rx = len(burst) + max_delay
-    starts = np.empty(frame_count, dtype=np.int64)
-    for i in range(frame_count):
-        base = i * HALF_FRAME_LEN + theta
-        starts[i] = base + w.cp_len
-        idx = np.arange(base, base + n_rx)
-        rx = np.zeros(n_rx, dtype=complex)
-        if procs is None:
-            gains = _tap_gains(scenario, rng, len(delays))
-        for m, d in enumerate(delays):
-            tap = slice(d, d + len(burst))
-            gain = gains[m] if procs is None else procs[m].at(idx[tap])
-            rx[tap] += gain * burst
-        if f_cfo:
-            rx *= np.exp(2j * np.pi * f_cfo * idx / SAMPLE_RATE_HZ)
-        stream[base: base + n_rx] += rx
+    idx = np.arange(n_rx) + half_frame * HALF_FRAME_LEN + theta
+    if scenario.fading == "rayleigh_jakes":
+        rays = keyed_rng(scenario.seed, JAKES)
+        gains = [
+            _JakesProcess(p, scenario.doppler_hz, rays).at(idx[d: d + len(burst)])
+            for p, d in zip(scenario.linear_powers, scenario.delays)
+        ]
+    else:
+        gains = _tap_gains(scenario, rng, len(scenario.taps))
+    rx = np.zeros(n_rx, dtype=complex)
+    for gain, d in zip(gains, scenario.delays):
+        rx[d: d + len(burst)] += gain * burst
+    if scenario.cfo_hz:
+        rx *= np.exp(2j * np.pi * scenario.cfo_hz * idx / SAMPLE_RATE_HZ)
+    stream[theta: theta + n_rx] += rx
 
     return RxStream(
         samples=stream,
         sample_rate_hz=SAMPLE_RATE_HZ,
         true_root=w.root,
-        pss_starts=starts,
-        half_frame_len=HALF_FRAME_LEN,
+        pss_starts=np.array([theta + w.cp_len], dtype=np.int64),
     )
 
 
@@ -276,7 +285,6 @@ def write_stream(stream: RxStream, iq_path) -> None:
         "sample_rate_hz": stream.sample_rate_hz,
         "true_root": stream.true_root,
         "pss_starts": [int(s) for s in stream.pss_starts],
-        "half_frame_len": stream.half_frame_len,
     }
     side = f"{iq_path}.json"
     tmp = f"{side}.tmp"
@@ -297,6 +305,5 @@ def read_stream(iq_path) -> RxStream:
             sample_rate_hz=float(meta["sample_rate_hz"]),
             true_root=meta["true_root"],
             pss_starts=np.asarray(meta["pss_starts"], dtype=np.int64),
-            half_frame_len=meta["half_frame_len"],
         )
     return RxStream(samples=samples, sample_rate_hz=SAMPLE_RATE_HZ)

@@ -62,15 +62,6 @@ class MetricTrace:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class InterferenceTrace:
-    """Exact clustering self-interference: y_cluster - y_mf, per lag."""
-
-    root: int
-    lag_mode: str
-    values: np.ndarray
-
-
 def _windows(r: np.ndarray, size_n: int, lag_mode: str) -> np.ndarray:
     """Lag-by-lag view of the input: row m holds r(m .. m+N-1).
 
@@ -241,35 +232,6 @@ def cluster_correlate(
     )
     root = table.root if table.root is not None else -1
     return MetricTrace(root=root, lag_mode=lag_mode, values=values), ops
-
-
-def interference_term(
-    r: np.ndarray,
-    table: ClusterTable,
-    s: PssWaveform,
-    lag_mode: str = "sliding",
-) -> InterferenceTrace:
-    """Exact self-interference of the cluster approximation.
-
-    With A(m) the matched-filter sum and E(m) the correlation of the
-    buffer against the mean-error template mu_k(n) - s(n), the cluster
-    metric decomposes as |A + E|^2 = |A|^2 + I with
-
-        I(m) = |E(m)|^2 + 2 Re(A(m) conj(E(m))),
-
-    so y_cluster - y_mf - I vanishes identically.  I(m) is signed.
-    """
-    if table.size_n != s.size_n:
-        raise ValueError(
-            f"table is for N = {table.size_n}, waveform for N = {s.size_n}"
-        )
-    w = _windows(r, s.size_n, lag_mode)
-    a = w @ np.conj(s.body)
-    sums = np.add.reduceat(w[:, table.lut], table.cluster_starts(), axis=1)
-    b = _dot_means(sums, table.means)
-    e = b - a
-    values = _magnitude_sq(e) + 2.0 * (a * np.conj(e)).real
-    return InterferenceTrace(root=s.root, lag_mode=lag_mode, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -46,12 +46,19 @@ wider than the FFT/direct rounding gap, so the gate never skips a half
 frame the full pass would have scored, and outputs do not change.
 
 Each experiment builds one ChannelScenario per SNR point, which
-validates it before any calibration; every trial and every
-block-fading half frame is a copy of it made with
-dataclasses.replace, differing only in timing offset and seed.
+validates it before any calibration; every trial is a copy of it made
+with dataclasses.replace, differing only in timing offset and seed,
+and the trial loop synthesizes each half frame it visits by index.
 
-Seeds split additively: trial t of a run uses base_seed + t, and each
-experiment point strides its base by 10**6 so points never overlap.
+Every generator of a run comes from one rule:
+default_rng(SeedSequence(seed, spawn_key=(purpose, ...))).
+Calibration trial t uses (CALIBRATION, t).  Trial t of experiment
+point p uses (TRIALS, p, t) for its timing offset; its half frame i
+draws noise and block gains from (TRIALS, p, t, HALF_FRAME, i), and
+its Jakes rays come from (TRIALS, p, t, JAKES).  Distinct seeds or
+keys give independent streams, as SeedSequence.spawn children do, so
+runs at nearby seeds share no trials, and each trial depends only on
+its own key, whatever the job count.  Seeds must be non-negative.
 """
 
 from __future__ import annotations
@@ -91,8 +98,8 @@ GATE_MARGIN = 1e-9
 # lags.  512 and 2048 points ran within 15% of 1024; 4096 was slower.
 BLOCK = 1024
 
-POINT_SEED_STRIDE = 10**6
-CALIBRATION_SEED_STRIDE = 777 * POINT_SEED_STRIDE
+# Spawn-key purposes of a run's seed (see the module docstring).
+CALIBRATION, TRIALS = 0, 1
 DEFAULT_PFA = 0.1
 WILSON_Z = 1.96
 # The Pmd level whose SNR crossing the engines are compared at.
@@ -360,6 +367,11 @@ def detect(stream: RxStream, config: EngineConfig, threshold: float) -> Detectio
 # Threshold calibration.
 # ---------------------------------------------------------------------------
 
+def _check_seed(seed):
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def _calibrate_chunk(start, stop, payload):
     configs, seed = payload
     batch = _cached_batch(configs)
@@ -369,7 +381,8 @@ def _calibrate_chunk(start, stop, payload):
     draws = np.empty(2 * HALF_FRAME_LEN)
     samples = np.empty(HALF_FRAME_LEN, dtype=complex)
     for t in range(start, stop):
-        rng = np.random.default_rng(seed + t)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(CALIBRATION, t)))
         peaks = batch.peaks(ch.fill_floor_noise(rng, samples, draws))
         out[t - start] = [p[0] for p in peaks]
     return out
@@ -388,7 +401,10 @@ def calibrate_thresholds(
     experiments' floor (NOISE_FLOOR_VARIANCE), shared by every engine;
     each engine keeps its maximum metric over lags and roots, and its
     threshold is the linear-interpolated quantile of those maxima.
+    Trial t draws from the key (CALIBRATION, t) below ``seed``, which
+    must be non-negative.
     """
+    _check_seed(seed)
     if not (0.0 < pfa < 1.0):
         raise ValueError(f"pfa must lie in (0, 1), got {pfa}")
     if trials < 100:
@@ -417,59 +433,43 @@ def calibrate_threshold(
 # The trial loop both experiments run.
 # ---------------------------------------------------------------------------
 
-def _trial_scenario(rng, point: ChannelScenario, sym_len):
+def _trial_scenario(trial: np.random.SeedSequence, point: ChannelScenario, sym_len):
+    """The trial's copy of ``point``: its seed, and a timing offset
+    drawn from that seed's own generator."""
     max_delay = int(point.delays.max())
+    rng = np.random.default_rng(trial)
     theta = int(rng.integers(0, HALF_FRAME_LEN - sym_len - max_delay + 1))
-    return dataclasses.replace(point, timing_offset=theta,
-                               seed=int(rng.integers(0, 2**63)))
+    return dataclasses.replace(point, timing_offset=theta, seed=trial)
 
 
 def _trial_chunk(start, stop, payload):
     """Per trial and engine: the 1-based half frame of the first correct
     detection, or 0 if none came within max_hf half frames.
 
-    Every half frame is synthesized, so the random draws do not depend
-    on what is scored.  Before the full overlap-save pass, a gate reads
-    the true root's metric over each engine's tolerance window around
-    the true start (``BatchEvaluator.window_peaks``).  A correct
-    detection is a global maximum on the true root, inside that window
-    and above the threshold, so an engine whose window maximum is at
-    most ``threshold * (1 - GATE_MARGIN)`` cannot score here; when that
-    holds for every engine still searching, the pass is skipped.
+    The loop synthesizes only the half frames it visits, each from its
+    own key, so the random draws do not depend on what is scored.
+    Before the full overlap-save pass, a gate reads the true root's
+    metric over each engine's tolerance window around the true start
+    (``BatchEvaluator.window_peaks``).  A correct detection is a global
+    maximum on the true root, inside that window and above the
+    threshold, so an engine whose window maximum is at most
+    ``threshold * (1 - GATE_MARGIN)`` cannot score here; when that holds
+    for every engine still searching, the pass is skipped.
     """
-    configs, thresholds, point, base_seed, max_hf = payload
+    configs, thresholds, point, seed, p, max_hf = payload
     batch = _cached_batch(configs)
     tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
     root_idx = PSS_ROOTS.index(TRIAL_ROOT)
     gates = [lam * (1.0 - GATE_MARGIN) for lam in thresholds]
     first = np.zeros((stop - start, len(configs)), dtype=np.int64)
     for t in range(start, stop):
-        rng = np.random.default_rng(base_seed + t)
-        scen = _trial_scenario(rng, point, len(tx.samples))
+        trial = np.random.SeedSequence(seed, spawn_key=(TRIALS, p, t))
+        scen = _trial_scenario(trial, point, len(tx.samples))
         done = [0] * len(configs)
-
-        if scen.fading == "rayleigh_jakes":
-            # One continuous stream per trial keeps the Doppler process
-            # correlated across half frames.
-            full = embed_pss_in_halfframe(tx, scen, frame_count=max_hf)
-
-            def frame(i):
-                lo = i * HALF_FRAME_LEN
-                return dataclasses.replace(
-                    full, samples=full.samples[lo: lo + HALF_FRAME_LEN],
-                    pss_starts=full.pss_starts[:1],
-                )
-        else:
-            def frame(i):
-                if i == 0:
-                    return embed_pss_in_halfframe(tx, scen)
-                fresh = dataclasses.replace(scen, seed=int(rng.integers(0, 2**63)))
-                return embed_pss_in_halfframe(tx, fresh)
-
         for i in range(max_hf):
             if all(done):
                 break
-            stream = frame(i)
+            stream = embed_pss_in_halfframe(tx, scen, half_frame=i)
             near = batch.window_peaks(stream.samples, stream.pss_starts[0], root_idx)
             if all(d or v <= g for d, v, g in zip(done, near, gates)):
                 continue
@@ -482,15 +482,15 @@ def _trial_chunk(start, stop, payload):
 
 
 def _experiment_thresholds(configs, thresholds, trials, pfa,
-                           calibration_trials, base_seed, jobs):
-    """Per-engine thresholds, calibrated here unless supplied.  Callers
-    build (and so validate) their channels first."""
+                           calibration_trials, seed, jobs):
+    """Per-engine thresholds, calibrated here at ``seed`` unless
+    supplied.  Callers build (and so validate) their channels first."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_seed(seed)
     if thresholds is None:
         thresholds = calibrate_thresholds(
-            configs, pfa=pfa, trials=calibration_trials,
-            seed=base_seed + CALIBRATION_SEED_STRIDE, jobs=jobs,
+            configs, pfa=pfa, trials=calibration_trials, seed=seed, jobs=jobs,
         )
     return tuple(thresholds[c.key] for c in configs)
 
@@ -545,8 +545,8 @@ def pmd_experiment(
     Pmd is acquisition capped at one half frame: a trial misses when an
     engine has no correct detection (above threshold, right root,
     timing within tolerance) in it.  All engines run on the same
-    stream, so the comparisons are paired.  Point p runs its trials
-    from base_seed + (p + 1) * POINT_SEED_STRIDE.
+    stream, so the comparisons are paired.  Trial t of point p draws
+    from the key (TRIALS, p, t) below base_seed.
     """
     configs = list(engines)
     scenarios = [
@@ -561,8 +561,7 @@ def pmd_experiment(
     points = []
     for p, scenario in enumerate(scenarios):
         snr_db = scenario.snr_db
-        point_seed = base_seed + (p + 1) * POINT_SEED_STRIDE
-        payload = (tuple(configs), lam, scenario, point_seed, 1)
+        payload = (tuple(configs), lam, scenario, base_seed, p, 1)
         first = np.concatenate(_chunked(_trial_chunk, trials, jobs, payload))
         misses = np.count_nonzero(first == 0, axis=0)
         for c, m in zip(configs, misses):
@@ -628,7 +627,9 @@ def acquisition_experiment(
     Each trial fixes one timing offset, then plays half frames through
     fresh fading draws until every engine has acquired or the cap is
     reached (censored trials keep the cap as their time).  All engines
-    see the same streams, so acquisition times are paired.
+    see the same streams, so acquisition times are paired.  The run is
+    one experiment point: trial t draws from the key (TRIALS, 0, t)
+    below base_seed.
     """
     configs = list(engines)
     scenario = ChannelScenario(taps=taps, fading=fading, snr_db=float(snr_db),
@@ -637,7 +638,7 @@ def acquisition_experiment(
         raise ValueError("max_half_frames must be at least 1")
     lam = _experiment_thresholds(configs, thresholds, trials, pfa,
                                  calibration_trials, base_seed, jobs)
-    payload = (tuple(configs), lam, scenario, base_seed, max_half_frames)
+    payload = (tuple(configs), lam, scenario, base_seed, 0, max_half_frames)
     first = np.concatenate(_chunked(_trial_chunk, trials, jobs, payload))
     rows = []
     for t, row in enumerate(first.tolist()):

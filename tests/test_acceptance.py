@@ -33,7 +33,6 @@ from pssdet import (
 )
 from pssdet.channel import NOISE_FLOOR_VARIANCE
 from pssdet.cli import main
-from pssdet.detector import CALIBRATION_SEED_STRIDE
 
 SEED = 20260819
 
@@ -57,9 +56,7 @@ def noise_halfframe(rng, length=9600):
 
 @pytest.fixture(scope="module")
 def thresholds():
-    return calibrate_thresholds(
-        ALL5, pfa=0.1, trials=4000, seed=SEED + CALIBRATION_SEED_STRIDE
-    )
+    return calibrate_thresholds(ALL5, pfa=0.1, trials=4000, seed=SEED)
 
 
 # ---------------------------------------------------------------------------

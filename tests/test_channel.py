@@ -1,6 +1,7 @@
 """Channel model checks: taps, fading, CFO, framing, stream files."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from pssdet import (
     write_stream,
 )
 from pssdet.channel import (
+    HALF_FRAME,
+    JAKES,
     NOISE_FLOOR_VARIANCE,
     SAMPLE_RATE_HZ,
     TU6_DELAYS_US,
@@ -51,7 +54,19 @@ def test_scenario_replace_is_exact():
         np.testing.assert_array_equal(copy.linear_powers, sc.linear_powers)
 
 
+def _keyed(seed, *key):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _half_frames(w, sc, count):
+    """Half frames 0 .. count-1 of one trial, end to end."""
+    return np.concatenate([embed_pss_in_halfframe(w, sc, half_frame=i).samples
+                           for i in range(count)])
+
+
 def test_scenario_validation():
+    with pytest.raises(ValueError, match="seed"):
+        ChannelScenario(seed=-1)
     with pytest.raises(ValueError):
         ChannelScenario(taps=())
     with pytest.raises(ValueError):
@@ -120,11 +135,10 @@ def test_tu6_scenario_builds():
 def test_identity_channel_passthrough():
     w = add_cyclic_prefix(pss_time_domain(25, 128))
     sc = ChannelScenario()  # single tap, static, no noise, no CFO
-    stream = embed_pss_in_halfframe(w, sc, frame_count=2)
     expected = np.zeros(2 * 9600, dtype=complex)
     expected[:137] = w.samples
     expected[9600: 9600 + 137] = w.samples
-    np.testing.assert_allclose(stream.samples, expected, atol=1e-15)
+    np.testing.assert_allclose(_half_frames(w, sc, 2), expected, atol=1e-15)
 
 
 def test_timing_offset_places_burst():
@@ -143,13 +157,13 @@ def test_timing_offset_places_burst():
 def test_cfo_applies_phase_ramp():
     w = add_cyclic_prefix(pss_time_domain(29, 128))
     sc = ChannelScenario(cfo_ppm=5.0, timing_offset=10)
-    stream = embed_pss_in_halfframe(w, sc, frame_count=2)
-    # The ramp runs on the absolute sample index, so it stays
+    # The ramp runs on the trial's absolute sample index, so it stays
     # continuous from one half frame to the next.
-    for base in (10, 9600 + 10):
-        n = np.arange(base, base + 137)
+    for i in (0, 1):
+        stream = embed_pss_in_halfframe(w, sc, half_frame=i)
+        n = np.arange(137) + i * 9600 + 10
         ramp = np.exp(2j * np.pi * sc.cfo_hz * n / SAMPLE_RATE_HZ)
-        np.testing.assert_allclose(stream.samples[base: base + 137],
+        np.testing.assert_allclose(stream.samples[10: 10 + 137],
                                    w.samples * ramp, atol=1e-12)
 
 
@@ -164,16 +178,19 @@ def test_multipath_superposition():
     np.testing.assert_allclose(stream.samples, expected, atol=1e-12)
 
 
-def _per_tap_reference(w, sc, frame_count):
-    """Noiseless stream built tap by tap, each tap with its own CFO ramp,
-    drawing the fading gains in the embedding's order."""
-    rng = np.random.default_rng(sc.seed)
-    out = np.zeros(frame_count * 9600, dtype=complex)
+def _per_tap_reference(w, sc, seed, count):
+    """Noiseless half frames 0 .. count-1 of a trial at integer ``seed``,
+    built tap by tap, each tap with its own CFO ramp: block gains from
+    each half frame's key, one set of Jakes processes from the trial's
+    JAKES key, evaluated on the absolute sample index."""
+    out = np.zeros(count * 9600, dtype=complex)
     procs = None
     if sc.fading == "rayleigh_jakes":
-        procs = [_JakesProcess(p, sc.doppler_hz, rng) for p in sc.linear_powers]
-    for i in range(frame_count):
-        gains = _tap_gains(sc, rng, len(sc.taps)) if procs is None else None
+        rays = _keyed(seed, JAKES)
+        procs = [_JakesProcess(p, sc.doppler_hz, rays) for p in sc.linear_powers]
+    for i in range(count):
+        if procs is None:
+            gains = _tap_gains(sc, _keyed(seed, HALF_FRAME, i), len(sc.taps))
         for m, d in enumerate(sc.delays):
             n = np.arange(len(w.samples)) + i * 9600 + sc.timing_offset + d
             g = gains[m] if procs is None else procs[m].at(n)
@@ -189,9 +206,8 @@ def test_embed_matches_per_tap_reference(fading, doppler_hz):
     w = add_cyclic_prefix(pss_time_domain(25, 128))
     sc = ChannelScenario(taps=TU6_TAPS, fading=fading, cfo_ppm=5.0,
                          doppler_hz=doppler_hz, timing_offset=300, seed=17)
-    stream = embed_pss_in_halfframe(w, sc, frame_count=2)
-    np.testing.assert_allclose(stream.samples, _per_tap_reference(w, sc, 2),
-                               rtol=1e-12)
+    np.testing.assert_allclose(_half_frames(w, sc, 2),
+                               _per_tap_reference(w, sc, 17, 2), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +249,12 @@ def test_jakes_process_power_and_continuity():
 def test_embed_geometry():
     w = add_cyclic_prefix(pss_time_domain(25, 128))
     sc = ChannelScenario(timing_offset=1000, seed=5)
-    stream = embed_pss_in_halfframe(w, sc, frame_count=3)
-    assert len(stream.samples) == 3 * 9600
-    assert stream.half_frame_len == 9600
-    assert stream.true_root == 25
-    np.testing.assert_array_equal(
-        stream.pss_starts, [1000 + 9, 9600 + 1000 + 9, 2 * 9600 + 1000 + 9]
-    )
+    # Every half frame of a trial has the burst at the same place.
+    for i in range(3):
+        stream = embed_pss_in_halfframe(w, sc, half_frame=i)
+        assert len(stream.samples) == 9600
+        assert stream.true_root == 25
+        np.testing.assert_array_equal(stream.pss_starts, [1000 + 9])
 
 
 def test_embed_noiseless_is_just_the_burst():
@@ -258,8 +273,9 @@ def test_embed_signal_amplitude_tracks_snr():
     snr_db = 6.0
     sc = ChannelScenario(snr_db=snr_db, timing_offset=200, seed=21)
     stream = embed_pss_in_halfframe(w, sc)
-    # Remove the exact same noise realization the embed drew.
-    rng = np.random.default_rng(21)
+    # Remove the exact same noise realization the embed drew, from
+    # half frame 0's key.
+    rng = _keyed(21, HALF_FRAME, 0)
     noise = rng.standard_normal(9600) + 1j * rng.standard_normal(9600)
     noise = np.sqrt(NOISE_FLOOR_VARIANCE / 2.0) * noise
     sig = stream.samples - noise
@@ -271,8 +287,7 @@ def test_embed_signal_amplitude_tracks_snr():
 def test_embed_noise_floor_is_unit_variance():
     w = add_cyclic_prefix(pss_time_domain(25, 128))
     sc = ChannelScenario(snr_db=-60.0, seed=3)
-    stream = embed_pss_in_halfframe(w, sc, frame_count=4)
-    assert abs(np.mean(np.abs(stream.samples) ** 2) - 1.0) < 0.05
+    assert abs(np.mean(np.abs(_half_frames(w, sc, 4)) ** 2) - 1.0) < 0.05
 
 
 def test_floor_noise_keeps_the_two_draw_order():
@@ -290,9 +305,9 @@ def test_embed_block_fading_varies_per_frame():
     w = add_cyclic_prefix(pss_time_domain(25, 128))
     sc = ChannelScenario(snr_db=np.inf, fading="rayleigh_block",
                          timing_offset=0, seed=11)
-    stream = embed_pss_in_halfframe(w, sc, frame_count=2)
-    first = stream.samples[:137]
-    second = stream.samples[9600: 9600 + 137]
+    samples = _half_frames(w, sc, 2)
+    first = samples[:137]
+    second = samples[9600: 9600 + 137]
     # Same burst, independent complex gains.
     assert not np.allclose(first, second)
     ratio = second[np.abs(first) > 1e-9] / first[np.abs(first) > 1e-9]
@@ -303,8 +318,8 @@ def test_embed_rejects_overflowing_offset():
     w = add_cyclic_prefix(pss_time_domain(25, 128))
     with pytest.raises(ValueError):
         embed_pss_in_halfframe(w, ChannelScenario(timing_offset=9500))
-    with pytest.raises(ValueError):
-        embed_pss_in_halfframe(w, ChannelScenario(), frame_count=0)
+    with pytest.raises(ValueError, match="half_frame"):
+        embed_pss_in_halfframe(w, ChannelScenario(), half_frame=-1)
 
 
 def test_embed_is_reproducible():
@@ -312,9 +327,11 @@ def test_embed_is_reproducible():
     sc = ChannelScenario(taps=TU6_TAPS, snr_db=-5.0,
                          fading="rayleigh_block", cfo_ppm=5.0,
                          timing_offset=777, seed=101)
-    a = embed_pss_in_halfframe(w, sc, frame_count=2)
-    b = embed_pss_in_halfframe(w, sc, frame_count=2)
-    np.testing.assert_array_equal(a.samples, b.samples)
+    np.testing.assert_array_equal(_half_frames(w, sc, 2), _half_frames(w, sc, 2))
+    # A half frame is the same whether or not earlier ones were drawn.
+    np.testing.assert_array_equal(
+        embed_pss_in_halfframe(w, sc, half_frame=1).samples,
+        _half_frames(w, sc, 2)[9600:])
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +348,24 @@ def test_stream_round_trip(tmp_path):
     np.testing.assert_array_equal(back.samples, stream.samples)
     assert back.true_root == 34
     np.testing.assert_array_equal(back.pss_starts, stream.pss_starts)
-    assert back.half_frame_len == 9600
     assert back.sample_rate_hz == stream.sample_rate_hz
+    assert "half_frame_len" not in json.loads((tmp_path / "capture.iq.json").read_text())
+
+
+def test_stream_reads_sidecar_with_half_frame_len(tmp_path):
+    # Sidecars written before the key was dropped still read.
+    from pssdet import write_iq
+
+    path = tmp_path / "old.iq"
+    write_iq(path, np.ones(9600, dtype=complex))
+    (tmp_path / "old.iq.json").write_text(json.dumps({
+        "sample_rate_hz": SAMPLE_RATE_HZ, "true_root": 29,
+        "pss_starts": [409], "half_frame_len": 9600}))
+    back = read_stream(path)
+    assert back.true_root == 29
+    assert back.pss_starts.tolist() == [409]
+    assert back.sample_rate_hz == SAMPLE_RATE_HZ
+    assert len(back.samples) == 9600
 
 
 def test_stream_without_sidecar_gets_defaults(tmp_path):

@@ -169,6 +169,27 @@ def test_calibrate_matches_library_call(tmp_path, capsys):
     assert written == direct
 
 
+def test_calibrate_seeds_give_different_thresholds(tmp_path, capsys):
+    written = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main(["calibrate", "--trials", "300", "--seed", seed,
+                     "--output-dir", str(out)]) == 0
+        written.append((out / "thresholds.json").read_bytes())
+    capsys.readouterr()
+    assert written[0] != written[1]
+
+
+@pytest.mark.parametrize("command", ["calibrate", "pmd", "acq"])
+def test_negative_seed_exits_1_and_writes_nothing(tmp_path, capsys,
+                                                  no_calibration, command):
+    out = tmp_path / "out"
+    assert main([command, "--engines", "mf_opt:os2", "--trials", "100",
+                 "--seed", "-5", "--output-dir", str(out)]) == 1
+    assert "seed must be non-negative, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture()
 def stored_stream(tmp_path):
     tx = add_cyclic_prefix(pss_time_domain(25, 128))

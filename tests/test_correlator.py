@@ -1,4 +1,4 @@
-"""Correlator engines: metric agreement, op accounting, interference."""
+"""Correlator engines: metric agreement and op accounting."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from pssdet import (
     OpCount,
     bench_ops,
     cluster_correlate,
-    interference_term,
     kmeans_cluster,
     mf_correlate,
     mf_correlate_optimized,
@@ -206,53 +205,6 @@ def test_opcount_addition():
     total = OpCount(1, 2, 3, 4) + OpCount(10, 20, 30, 40)
     assert (total.complex_mults, total.complex_adds,
             total.real_ops, total.data_moves) == (11, 22, 33, 44)
-
-
-# ---------------------------------------------------------------------------
-# Interference decomposition.
-# ---------------------------------------------------------------------------
-
-def test_interference_identity():
-    w = pss_time_domain(25, 128)
-    table = kmeans_cluster(w.body, 8, root=25)
-    rng = np.random.default_rng(30)
-    buf = _noise(rng, 200)
-    y_mf, _ = mf_correlate(buf, w, "sliding")
-    y_cl, _ = cluster_correlate(buf, table, "sliding")
-    i = interference_term(buf, table, w, "sliding")
-    residual = np.abs(y_cl.values - y_mf.values - i.values).max()
-    assert residual / y_mf.values.max() < 1e-9
-
-
-def test_interference_vanishes_at_k_equals_n():
-    w = pss_time_domain(29, 128)
-    table = kmeans_cluster(w.body, 128, root=29)
-    rng = np.random.default_rng(31)
-    buf = _noise(rng, 180)
-    i = interference_term(buf, table, w)
-    y_mf, _ = mf_correlate(buf, w)
-    assert np.abs(i.values).max() / y_mf.values.max() < 1e-10
-
-
-def test_interference_shrinks_with_k():
-    # More clusters, less self-interference, on the same probe buffer.
-    w = pss_time_domain(25, 128)
-    rng = np.random.default_rng(32)
-    buf = _noise(rng, 256)
-    levels = []
-    for k in (6, 8, 16, 128):
-        table = kmeans_cluster(w.body, k, root=25)
-        i = interference_term(buf, table, w)
-        levels.append(float(np.mean(np.abs(i.values))))
-    assert levels[0] > levels[1] > levels[2] > levels[3]
-    assert levels[3] < 1e-12
-
-
-def test_interference_rejects_size_mismatch():
-    table = kmeans_cluster(pss_time_domain(25, 64).body, 8, root=25)
-    with pytest.raises(ValueError):
-        interference_term(np.zeros(200, dtype=complex), table,
-                          pss_time_domain(25, 128))
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ from pssdet import (
 from pssdet.correlator import _windows
 from pssdet.detector import (
     BLOCK,
-    POINT_SEED_STRIDE,
+    CALIBRATION,
     TRIAL_ROOT,
+    TRIALS,
     PmdPoint,
     _cached_batch,
     _score,
@@ -43,7 +44,9 @@ from pssdet.detector import (
 )
 from pssdet.pss import PSS_ROOTS
 from pssdet.channel import (
+    HALF_FRAME,
     HALF_FRAME_LEN,
+    JAKES,
     HALF_FRAME_SEC,
     NOISE_FLOOR_VARIANCE,
     TU6_TAPS,
@@ -335,7 +338,7 @@ def _channel_point(fading, cfo_ppm, snr_db):
 def test_gated_trial_loop_matches_full_loop(mixed_thresholds, fading, cfo_ppm,
                                             snr_db, cap, seed):
     point = _channel_point(fading, cfo_ppm, snr_db)
-    payload = (MIXED, mixed_thresholds, point, seed, cap)
+    payload = (MIXED, mixed_thresholds, point, seed, 0, cap)
     np.testing.assert_array_equal(_trial_chunk(0, 4, payload),
                                   _full_trial_chunk(payload, 4))
 
@@ -344,7 +347,7 @@ def test_gate_skips_half_frames_that_cannot_score(monkeypatch, mixed_thresholds)
     # TU6 block fading at 5 ppm: the correlation peak often leaves the
     # tolerance window, so most half frames skip the full pass.
     point = _channel_point("rayleigh_block", 5.0, -5.0)
-    payload = (MIXED, mixed_thresholds, point, 16, 30)
+    payload = (MIXED, mixed_thresholds, point, 16, 0, 30)
     full = _full_trial_chunk(payload, 4)
     calls = []
     peaks = BatchEvaluator.peaks
@@ -364,7 +367,8 @@ def test_gate_at_threshold_boundary(ulps_below):
     # (everybody does): the gate must open in both cases.
     point, seed = ChannelScenario(snr_db=0.0), 17
     tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
-    scen = _trial_scenario(np.random.default_rng(seed), point, len(tx.samples))
+    trial = np.random.SeedSequence(seed, spawn_key=(TRIALS, 0, 0))
+    scen = _trial_scenario(trial, point, len(tx.samples))
     stream = embed_pss_in_halfframe(tx, scen)
     root_idx = PSS_ROOTS.index(TRIAL_ROOT)
     lam = []
@@ -372,7 +376,7 @@ def test_gate_at_threshold_boundary(ulps_below):
     for config, values in zip(MIXED, fft_values):
         peak = _window_max(values, config, stream.pss_starts[0], root_idx)
         lam.append(np.nextafter(peak, -np.inf) if ulps_below else peak)
-    payload = (MIXED, tuple(lam), point, seed, 1)
+    payload = (MIXED, tuple(lam), point, seed, 0, 1)
     first = _trial_chunk(0, 1, payload)
     np.testing.assert_array_equal(first, _full_trial_chunk(payload, 1))
     np.testing.assert_array_equal(first, [[ulps_below] * len(MIXED)])
@@ -457,6 +461,45 @@ def test_calibration_validation():
         calibrate_threshold(EngineConfig("mf_opt"), pfa=0.0)
     with pytest.raises(ValueError):
         calibrate_threshold(EngineConfig("mf_opt"), trials=50)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        calibrate_threshold(EngineConfig("mf_opt"), trials=100, seed=-5)
+
+
+def test_calibration_trial_draws_from_its_key():
+    cfg = [EngineConfig("mf_opt", oversample=1), EngineConfig("mf_opt")]
+    batch = BatchEvaluator(cfg)
+    maxima = []
+    for t in range(100):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(3, spawn_key=(CALIBRATION, t)))
+        maxima.append([p[0] for p in batch.peaks(noise(rng, HALF_FRAME_LEN))])
+    want = np.quantile(maxima, 0.9, axis=0)
+    lam = calibrate_thresholds(cfg, pfa=0.1, trials=100, seed=3)
+    np.testing.assert_array_equal([lam[c.key] for c in cfg], want)
+
+
+def test_generator_keys_are_distinct():
+    # Every purpose and index of the seed tree gets its own stream, and
+    # a seed at or above 2**32 does not alias a smaller seed with a
+    # longer key (as plain list seeds would: [2**32 + 1, 0, 3] and
+    # [1, 1, 0, 3] hash alike).
+    keys = {
+        "calibration trial 3": (1, (CALIBRATION, 3)),
+        "point 0 trial 3": (1, (TRIALS, 0, 3)),
+        "its half frame 0": (1, (TRIALS, 0, 3, HALF_FRAME, 0)),
+        "its half frame 1": (1, (TRIALS, 0, 3, HALF_FRAME, 1)),
+        "its Jakes rays": (1, (TRIALS, 0, 3, JAKES)),
+        "point 1 trial 3": (1, (TRIALS, 1, 3)),
+        "seed 2 calibration trial 3": (2, (CALIBRATION, 3)),
+        "seed 2**32 + 1 calibration trial 3": (2**32 + 1, (CALIBRATION, 3)),
+        "seed 2**32 + 1 point 0 trial 3": (2**32 + 1, (TRIALS, 0, 3)),
+    }
+    draws = {
+        name: tuple(np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=key)).integers(0, 2**63, 4))
+        for name, (seed, key) in keys.items()
+    }
+    assert len(set(draws.values())) == len(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +540,22 @@ def test_pmd_crossing_requires_bracket():
 
 def test_trial_scenario_offset_range():
     point = ChannelScenario(taps=((0, 0.0), (10, -3.0)), snr_db=-5.0)
-    rng = np.random.default_rng(8)
     hf = 9600
     sym = 137
-    for _ in range(200):
-        scen = _trial_scenario(rng, point, sym)
+    offsets = set()
+    for t in range(200):
+        trial = np.random.SeedSequence(8, spawn_key=(TRIALS, 0, t))
+        scen = _trial_scenario(trial, point, sym)
         assert 0 <= scen.timing_offset <= hf - sym - 10
         assert scen.snr_db == -5.0
         assert scen.taps == point.taps
+        # The offset is the first draw of the trial's own generator, and
+        # the trial's seed carries on to its half frames.
+        assert scen.timing_offset == np.random.default_rng(trial).integers(
+            0, hf - sym - 10 + 1)
+        assert scen.seed is trial
+        offsets.add(scen.timing_offset)
+    assert len(offsets) > 150
 
 
 # ---------------------------------------------------------------------------
@@ -580,23 +631,76 @@ def test_acquisition_jobs_invariant():
     dict(taps=TU6_TAPS, fading="rayleigh_jakes", cfo_ppm=1.0, doppler_hz=50.0),
 ], ids=["awgn", "tu6_block_cfo", "tu6_jakes"])
 def test_pmd_is_one_half_frame_acquisition(channel):
-    grid = (-8.0, -5.0)
-    trials = 20
-    points = pmd_experiment(ENGINES, grid, trials=trials, base_seed=14,
-                            thresholds=FIXED_LAMBDA, **channel)
+    # Acquisition is one experiment point, so it shares its trial keys
+    # with point 0 of a sweep: point 0 of a sweep, or of a one-point
+    # sweep at a later grid SNR, misses exactly the trials a
+    # one-half-frame acquisition at that SNR censors.
+    grid = (-10.0, -5.0)
+    trials = 100
+    kwargs = dict(trials=trials, base_seed=14, thresholds=FIXED_LAMBDA, **channel)
+    sweep = pmd_experiment(ENGINES, grid, **kwargs)
     misses = []
     for p, snr_db in enumerate(grid):
-        acq = acquisition_experiment(
-            ENGINES, trials=trials, base_seed=14 + (p + 1) * POINT_SEED_STRIDE,
-            snr_db=snr_db, max_half_frames=1, thresholds=FIXED_LAMBDA, **channel)
-        for c in ENGINES:
-            point = next(q for q in points
-                         if q.engine_key == c.key and q.snr_db == snr_db)
+        points = (pmd_experiment(ENGINES, [snr_db], **kwargs) if p
+                  else sweep[:len(ENGINES)])
+        acq = acquisition_experiment(ENGINES, snr_db=snr_db, max_half_frames=1,
+                                     **kwargs)
+        for c, point in zip(ENGINES, points):
+            assert point.snr_db == snr_db
             censored = sum(r.censored for r in acq if r.engine_key == c.key)
             assert point.misses == censored
             misses.append(censored)
     # Both outcomes occur, so the comparison can tell them apart.
     assert 0 < sum(misses) < trials * len(misses)
+
+
+def test_self_calibration_equals_calibrate_at_the_same_seed(monkeypatch):
+    used = []
+    calibrate = calibrate_thresholds
+    monkeypatch.setattr(
+        "pssdet.detector.calibrate_thresholds",
+        lambda *args, **kwargs: used.append(calibrate(*args, **kwargs)) or used[-1])
+    kwargs = dict(trials=40, base_seed=5, calibration_trials=150)
+    own = pmd_experiment(ENGINES, [-6.0], **kwargs)
+    acquisition_experiment(ENGINES, max_half_frames=2, **kwargs)
+    lam = calibrate_thresholds(ENGINES, trials=150, seed=5)
+    assert used == [lam, lam]
+    given = pmd_experiment(ENGINES, [-6.0], **kwargs, thresholds=lam)
+    assert own == given
+
+
+def test_jakes_acquisition_synthesizes_only_visited_half_frames(monkeypatch):
+    counted = []
+
+    def counting(*args, **kwargs):
+        stream = embed_pss_in_halfframe(*args, **kwargs)
+        counted.append(len(stream.samples))
+        return stream
+
+    monkeypatch.setattr("pssdet.detector.embed_pss_in_halfframe", counting)
+    cap = 200
+    results = acquisition_experiment(
+        ENGINES, trials=4, base_seed=6, snr_db=0.0, cfo_ppm=0.0,
+        fading="rayleigh_jakes", doppler_hz=5.56, max_half_frames=cap,
+        thresholds=FIXED_LAMBDA)
+    visited = sum(max(r.half_frames for r in results if r.trial == t)
+                  for t in range(4))
+    assert visited < 4 * cap
+    assert sum(counted) == HALF_FRAME_LEN * visited
+
+
+def test_experiments_reject_negative_seeds_before_calibrating(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("calibrate_thresholds was reached")
+
+    monkeypatch.setattr("pssdet.detector.calibrate_thresholds", reached)
+    for thresholds in (None, FIXED_LAMBDA):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            pmd_experiment(ENGINES, [-5.0], trials=4, base_seed=-5,
+                           thresholds=thresholds)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            acquisition_experiment(ENGINES, trials=4, base_seed=-5,
+                                   thresholds=thresholds)
 
 
 @pytest.mark.parametrize("bad", [
