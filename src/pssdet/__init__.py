@@ -2,8 +2,9 @@
 
 The package splits into five layers: reference waveform synthesis
 (:mod:`pssdet.pss`), weighted k-means template quantization
-(:mod:`pssdet.clustering`), the three correlator engines with exact
-operation accounting (:mod:`pssdet.correlator`), channel and capture
+(:mod:`pssdet.clustering`), the three correlator engines, their
+configurations and exact operation accounting
+(:mod:`pssdet.correlator`), channel and capture
 simulation (:mod:`pssdet.channel`), and the detection pipeline with
 its Monte Carlo experiments (:mod:`pssdet.detector`).  The ``pssdet``
 console script in :mod:`pssdet.cli` drives all of it.
@@ -14,11 +15,7 @@ from .pss import (
     CP_LENGTH,
     PSS_ROOTS,
     ZC_LENGTH,
-    FreqGrid,
-    PssWaveform,
-    ZcSequence,
     add_cyclic_prefix,
-    conjugate_root,
     map_to_subcarriers,
     pss_time_domain,
     read_iq,
@@ -35,7 +32,7 @@ from .clustering import (
     save_table,
 )
 from .correlator import (
-    MetricTrace,
+    EngineConfig,
     OpCount,
     bench_ops,
     cluster_correlate,
@@ -44,7 +41,6 @@ from .correlator import (
 )
 from .channel import (
     ChannelScenario,
-    RxStream,
     embed_pss_in_halfframe,
     merge_taps,
     read_stream,
@@ -54,9 +50,6 @@ from .detector import (
     DETECT_TOLERANCE,
     AcquisitionResult,
     BatchEvaluator,
-    DetectionResult,
-    EngineConfig,
-    PmdPoint,
     acquisition_cdf,
     acquisition_experiment,
     calibrate_threshold,
@@ -77,17 +70,10 @@ __all__ = [
     "ClusterTable",
     "CONJUGATE_ROOT",
     "CP_LENGTH",
-    "DetectionResult",
     "EngineConfig",
-    "FreqGrid",
-    "MetricTrace",
     "OpCount",
-    "PmdPoint",
     "PSS_ROOTS",
-    "PssWaveform",
-    "RxStream",
     "ZC_LENGTH",
-    "ZcSequence",
     "BatchEvaluator",
     "acquisition_cdf",
     "acquisition_experiment",
@@ -96,7 +82,6 @@ __all__ = [
     "calibrate_threshold",
     "calibrate_thresholds",
     "cluster_correlate",
-    "conjugate_root",
     "conjugate_table",
     "detect",
     "embed_pss_in_halfframe",

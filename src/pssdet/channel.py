@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 
-from .pss import read_iq, write_iq
+from .pss import read_iq, write_iq, write_text
 
 HALF_FRAME_SEC = 5e-3
 SAMPLE_RATE_HZ = 1.92e6
@@ -286,12 +286,7 @@ def write_stream(stream: RxStream, iq_path) -> None:
         "true_root": stream.true_root,
         "pss_starts": [int(s) for s in stream.pss_starts],
     }
-    side = f"{iq_path}.json"
-    tmp = f"{side}.tmp"
-    with open(tmp, "w") as f:
-        json.dump(meta, f, indent=2)
-        f.write("\n")
-    os.replace(tmp, side)
+    write_text(f"{iq_path}.json", json.dumps(meta, indent=2) + "\n")
 
 
 def read_stream(iq_path) -> RxStream:

@@ -19,16 +19,13 @@ import json
 import os
 import re
 import sys
-import tempfile
-
-import numpy as np
 
 from . import channel as ch
 from .channel import read_stream
 from .clustering import kmeans_cluster, save_table
+from .correlator import EngineConfig, bench_ops
 from .detector import (
     DEFAULT_PFA,
-    EngineConfig,
     acquisition_cdf,
     acquisition_experiment,
     calibrate_threshold,
@@ -36,12 +33,12 @@ from .detector import (
     detect,
     pmd_experiment,
 )
-from .correlator import bench_ops
 from .pss import (
     PSS_ROOTS,
     add_cyclic_prefix,
     pss_time_domain,
     write_iq,
+    write_text,
     write_waveform_csv,
 )
 
@@ -109,6 +106,10 @@ def parse_engines(text: str) -> list[EngineConfig]:
     configs = [parse_engine_spec(tok) for tok in text.split(",") if tok.strip()]
     if not configs:
         raise CliError("no engines given")
+    keys = [c.key for c in configs]
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:
+        raise CliError(f"engines given more than once: {', '.join(repeated)}")
     return configs
 
 
@@ -130,31 +131,17 @@ def _float_repr(x) -> str:
     return repr(float(x))
 
 
-def _write_text(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_csv(path: str, header: list[str], rows: list[list]):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
             _float_repr(v) if isinstance(v, float) else str(v) for v in row
         ))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, obj):
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _number(value) -> bool:
@@ -321,7 +308,7 @@ def cmd_detect(args) -> int:
     text = json.dumps(out, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        _write_text(args.out, text + "\n")
+        write_text(args.out, text + "\n")
     return 0
 
 
@@ -397,17 +384,12 @@ def cmd_acq(args) -> int:
 
 
 def cmd_bench_ops(args) -> int:
-    rows = []
-    for config in parse_engines(args.engines or DEFAULT_ENGINES):
-        rows.append(bench_ops(
-            config.kind, oversample=config.oversample,
-            num_clusters=config.num_clusters,
-            probe_lags=args.probe_lags,
-        ))
+    rows = [bench_ops(config, probe_lags=args.probe_lags)
+            for config in parse_engines(args.engines or DEFAULT_ENGINES)]
     text = json.dumps(rows, indent=2)
     print(text)
     if args.out:
-        _write_text(args.out, text + "\n")
+        write_text(args.out, text + "\n")
     return 0
 
 

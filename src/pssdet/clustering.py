@@ -11,18 +11,18 @@ seeding and assignment, and a fixed empty-cluster repair rule.
 
 Only roots 25 and 29 need to be clustered.  Root 34 is the complex
 conjugate of root 29, so its table is derived by conjugate_table and
-shares the partition exactly.
+shares the partition exactly; root_tables applies that rule for every
+engine.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pss import CONJUGATE_ROOT, PSS_ROOTS
+from .pss import CONJUGATE_ROOT, PSS_ROOTS, pss_time_domain, write_text
 
 TABLE_SCHEMA_VERSION = 1
 DEFAULT_MAX_ITERS = 100
@@ -114,13 +114,13 @@ def _repair_empty(samples, means, weights, assignment, k) -> np.ndarray:
     return assignment
 
 
-def _lloyd(samples, initial_means, weights, max_iters):
+def _lloyd(samples, initial_means, weights):
     k = len(initial_means)
     means = initial_means.copy()
     assignment = np.full(len(samples), -1, dtype=np.int64)
     history = []
     converged = False
-    for _ in range(max_iters):
+    for _ in range(DEFAULT_MAX_ITERS):
         new = _assign(samples, means, weights)
         new = _repair_empty(samples, means, weights, new, k)
         if np.array_equal(new, assignment):
@@ -138,7 +138,6 @@ def kmeans_cluster(
     num_clusters: int,
     weights: np.ndarray | None = None,
     seed: int | None = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
     root: int | None = None,
     random_restarts: int = 0,
 ) -> ClusterTable:
@@ -178,18 +177,16 @@ def kmeans_cluster(
         raise ValueError("weights must have one entry per cluster")
     if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
         raise ValueError("weights must be positive and finite")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     if root is not None and root not in PSS_ROOTS:
         raise ValueError(f"root must be one of {PSS_ROOTS} or None, got {root}")
 
     runs = [_lloyd(samples, _seed_farthest_point(samples, num_clusters, weights),
-                   weights, max_iters)]
+                   weights)]
     if random_restarts > 0:
         rng = np.random.default_rng(seed)
         for _ in range(random_restarts):
             idx = rng.choice(n, size=num_clusters, replace=False)
-            runs.append(_lloyd(samples, samples[idx].copy(), weights, max_iters))
+            runs.append(_lloyd(samples, samples[idx].copy(), weights))
 
     best = min(runs, key=lambda run: run[2][-1] if run[2] else np.inf)
     means, assignment, history, converged = best
@@ -246,13 +243,21 @@ def conjugate_table(table: ClusterTable) -> ClusterTable:
     )
 
 
+def root_tables(size_n: int, k: int) -> tuple[ClusterTable, ...]:
+    """The K-cluster tables of every PSS root at grid size N, in PSS_ROOTS
+    order: roots 25 and 29 clustered, root 34 conjugated from root 29."""
+    t25, t29 = (kmeans_cluster(pss_time_domain(u, size_n).body, k, root=u)
+                for u in (25, 29))
+    return t25, t29, conjugate_table(t29)
+
+
 # ---------------------------------------------------------------------------
 # Serialization.  Tables are validated strictly on load and rejected on
 # any inconsistency; nothing is repaired silently.
 # ---------------------------------------------------------------------------
 
 def save_table(table: ClusterTable, path) -> None:
-    """Write a ClusterTable as JSON (atomically: temp file + rename)."""
+    """Write a ClusterTable as JSON, atomically (see pss.write_text)."""
     doc = {
         "schema_version": TABLE_SCHEMA_VERSION,
         "root_u": table.root,
@@ -266,11 +271,7 @@ def save_table(table: ClusterTable, path) -> None:
         "final_wwcss": float(table.final_wwcss),
         "converged": bool(table.converged),
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    os.replace(tmp, path)
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_table(path) -> ClusterTable:

@@ -1,8 +1,9 @@
-"""PSS correlation engines and their operation accounting.
+"""PSS correlation engines, their configurations and operation accounting.
 
-Three engines produce the same detection metric
-y_u(m) = |sum_n r(n+m) conj(s_u(n))|^2 at very different multiplier
-budgets per incoming sample:
+An EngineConfig is the one description of a detector engine: its kind,
+its rate and, for the cluster correlator, K.  The three kinds produce
+the same detection metric y_u(m) = |sum_n r(n+m) conj(s_u(n))|^2 at
+very different multiplier budgets per incoming sample:
 
 * brute matched filter: N complex multiplications per root,
 * folded matched filter: the symmetry s(n) = s(N-n) pairs the input
@@ -23,16 +24,52 @@ count quoted per incoming sample; bench_ops does that subtraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .clustering import ClusterTable
-from .pss import PssWaveform
+from .clustering import ClusterTable, root_tables
+from .pss import PSS_ROOTS, PssWaveform, pss_time_domain
 
+ENGINE_KINDS = ("mf_brute", "mf_opt", "cluster")
 LAG_MODES = ("circular", "sliding")
 ARCHITECTURES = ("lut_steering", "shift_register")
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """One detector configuration: engine kind, rate, cluster count."""
+
+    kind: str
+    oversample: int = 2
+    num_clusters: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ENGINE_KINDS:
+            raise ValueError(f"kind must be one of {ENGINE_KINDS}, got {self.kind!r}")
+        if self.oversample not in (1, 2):
+            raise ValueError(f"oversample must be 1 or 2, got {self.oversample}")
+        if self.kind == "cluster":
+            if not self.num_clusters or self.num_clusters < 1:
+                raise ValueError("cluster engine needs num_clusters >= 1")
+        elif self.num_clusters is not None:
+            raise ValueError(f"{self.kind} takes no num_clusters")
+
+    @property
+    def size_n(self) -> int:
+        return 64 * self.oversample
+
+    @property
+    def key(self) -> str:
+        if self.kind == "cluster":
+            return f"cluster_k{self.num_clusters}_os{self.oversample}"
+        return f"{self.kind}_os{self.oversample}"
+
+    @property
+    def decimation(self) -> int:
+        """Native samples per engine sample."""
+        return 2 if self.oversample == 1 else 1
 
 
 @dataclass
@@ -51,15 +88,6 @@ class OpCount:
             self.real_ops + other.real_ops,
             self.data_moves + other.data_moves,
         )
-
-
-@dataclass(frozen=True)
-class MetricTrace:
-    """Detection metric per lag for one root."""
-
-    root: int
-    lag_mode: str
-    values: np.ndarray
 
 
 def _windows(r: np.ndarray, size_n: int, lag_mode: str) -> np.ndarray:
@@ -91,7 +119,7 @@ def _magnitude_sq(a: np.ndarray) -> np.ndarray:
 def mf_correlate(r: np.ndarray, s: PssWaveform, lag_mode: str = "sliding"):
     """Full matched filter of a buffer against one PSS body.
 
-    Returns (MetricTrace, OpCount).  Per lag the counters book N
+    Returns (metric per lag, OpCount).  Per lag the counters book N
     complex multiplications for the products, N-1 additions for the
     sum, plus the magnitude-squared as one further complex
     multiplication (itemized again in real_ops).
@@ -107,7 +135,7 @@ def mf_correlate(r: np.ndarray, s: PssWaveform, lag_mode: str = "sliding"):
         complex_adds=lags * (n - 1),
         real_ops=lags,
     )
-    return MetricTrace(root=s.root, lag_mode=lag_mode, values=values), ops
+    return values, ops
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +152,7 @@ def mf_correlate_optimized(r: np.ndarray, waveforms, lag_mode: str = "sliding"):
     taken without conjugation, so only two distinct correlators pay for
     multiplications: N/2 + 1 each per lag.
 
-    Returns ((trace_25, trace_29, trace_34), OpCount).
+    Returns ((metric_25, metric_29, metric_34), OpCount).
     """
     roots = tuple(w.root for w in waveforms)
     if roots != (25, 29, 34):
@@ -158,11 +186,7 @@ def mf_correlate_optimized(r: np.ndarray, waveforms, lag_mode: str = "sliding"):
         complex_adds=lags * ((half - 1) + 3 * half),
         real_ops=lags * 3,
     )
-    traces = tuple(
-        MetricTrace(root=u, lag_mode=lag_mode, values=values[:, i])
-        for i, u in enumerate((25, 29, 34))
-    )
-    return traces, ops
+    return tuple(values.T), ops
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +223,7 @@ def cluster_correlate(
     one slot per lag (N moves, booked in data_moves).  Their outputs
     are bit-identical because the summation order is fixed.
 
-    Returns (MetricTrace, OpCount).
+    Returns (metric per lag, OpCount).
     """
     if architecture not in ARCHITECTURES:
         raise ValueError(
@@ -230,8 +254,7 @@ def cluster_correlate(
         real_ops=lags,
         data_moves=lags * n if architecture == "shift_register" else 0,
     )
-    root = table.root if table.root is not None else -1
-    return MetricTrace(root=root, lag_mode=lag_mode, values=values), ops
+    return values, ops
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +262,7 @@ def cluster_correlate(
 # ---------------------------------------------------------------------------
 
 def bench_ops(
-    engine: str,
-    oversample: int = 2,
-    num_clusters: int | None = None,
+    config: EngineConfig,
     architecture: str = "lut_steering",
     probe_lags: int = 256,
 ) -> dict:
@@ -253,68 +274,40 @@ def bench_ops(
     removed from the tally first) and for the cluster correlator, and
     per conjugate-shared pair for the folded filter.  The divisions
     must come out exact; a remainder means the counters are wrong.
+    Only the folded filter's adds, (2N - 1) / 2 per pair, are
+    fractional.
     """
-    from .pss import PSS_ROOTS, pss_time_domain
-    from .clustering import conjugate_table, kmeans_cluster
-
-    if oversample not in (1, 2):
-        raise ValueError(f"oversample must be 1 or 2, got {oversample}")
-    size_n = 64 * oversample
-    rng = np.random.default_rng(0xBE2C + size_n)
-    probe = rng.standard_normal(size_n + probe_lags - 1) + 1j * rng.standard_normal(
-        size_n + probe_lags - 1
+    n = config.size_n
+    rng = np.random.default_rng(0xBE2C + n)
+    probe = rng.standard_normal(n + probe_lags - 1) + 1j * rng.standard_normal(
+        n + probe_lags - 1
     )
-    waveforms = tuple(pss_time_domain(u, size_n) for u in PSS_ROOTS)
-
-    if engine == "mf_brute":
-        total = OpCount()
-        for w in waveforms:
-            trace, ops = mf_correlate(probe, w, "sliding")
-            total = total + ops
-        lags = len(trace.values)
-        mults = total.complex_mults - total.real_ops  # magnitudes out
-        cm, rem = divmod(mults, lags * 3)
-        ca, rem2 = divmod(total.complex_adds, lags * 3)
-        moves = total.data_moves
-        per = lags * 3
-    elif engine == "mf_opt":
-        traces, ops = mf_correlate_optimized(probe, waveforms, "sliding")
-        lags = len(traces[0].values)
-        cm, rem = divmod(ops.complex_mults, lags * 2)
-        ca, rem2 = ops.complex_adds / (lags * 2), 0
-        moves = ops.data_moves
-        per = lags * 2
-    elif engine == "cluster":
-        if num_clusters is None:
-            raise ValueError("cluster engine needs num_clusters")
-        t29 = kmeans_cluster(
-            pss_time_domain(29, size_n).body, num_clusters, root=29
-        )
-        tables = (
-            kmeans_cluster(pss_time_domain(25, size_n).body, num_clusters, root=25),
-            t29,
-            conjugate_table(t29),
-        )
-        total = OpCount()
-        for t in tables:
-            trace, ops = cluster_correlate(probe, t, "sliding", architecture)
-            total = total + ops
-        lags = len(trace.values)
-        cm, rem = divmod(total.complex_mults, lags * 3)
-        ca, rem2 = divmod(total.complex_adds, lags * 3)
-        moves, _ = divmod(total.data_moves, lags * 3)
-        per = lags * 3
+    waveforms = tuple(pss_time_domain(u, n) for u in PSS_ROOTS)
+    if config.kind == "mf_brute":
+        calls = [mf_correlate(probe, w) for w in waveforms]
+    elif config.kind == "mf_opt":
+        calls = [mf_correlate_optimized(probe, waveforms)]
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        calls = [cluster_correlate(probe, t, architecture=architecture)
+                 for t in root_tables(n, config.num_clusters)]
+    total = sum((ops for _, ops in calls), OpCount())
+    # Distinct correlators: the folded filter's roots 29 and 34 share one.
+    per = probe_lags * (2 if config.kind == "mf_opt" else 3)
 
-    if rem or rem2:
+    mults = total.complex_mults
+    if config.kind == "mf_brute":
+        mults -= total.real_ops  # magnitudes out
+    cm, rem = divmod(mults, per)
+    moves, rem_moves = divmod(total.data_moves, per)
+    ca = total.complex_adds / per
+    if rem or rem_moves or not (ca.is_integer() or config.kind == "mf_opt"):
         raise AssertionError(f"op counters not divisible by {per} lags")
     return {
-        "engine": engine,
-        "N": size_n,
-        "K": num_clusters,
-        "oversampling": oversample,
-        "cm_per_sample": int(cm),
-        "ca_per_sample": float(ca) if isinstance(ca, float) else int(ca),
-        "data_moves": int(moves),
+        "engine": config.kind,
+        "N": n,
+        "K": config.num_clusters,
+        "oversampling": config.oversample,
+        "cm_per_sample": cm,
+        "ca_per_sample": ca if config.kind == "mf_opt" else int(ca),
+        "data_moves": moves,
     }

@@ -79,10 +79,10 @@ from .channel import (
     RxStream,
     embed_pss_in_halfframe,
 )
-from .clustering import conjugate_table, kmeans_cluster
+from .clustering import root_tables
+from .correlator import EngineConfig
 from .pss import PSS_ROOTS, add_cyclic_prefix, pss_time_domain
 
-ENGINE_KINDS = ("mf_brute", "mf_opt", "cluster")
 # Every Monte Carlo trial transmits this root.
 TRIAL_ROOT = 25
 
@@ -106,51 +106,13 @@ WILSON_Z = 1.96
 PMD_CROSSING_LEVEL = 0.1
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """One detector configuration: engine kind, rate, cluster count."""
-
-    kind: str
-    oversample: int = 2
-    num_clusters: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ENGINE_KINDS:
-            raise ValueError(f"kind must be one of {ENGINE_KINDS}, got {self.kind!r}")
-        if self.oversample not in (1, 2):
-            raise ValueError(f"oversample must be 1 or 2, got {self.oversample}")
-        if self.kind == "cluster":
-            if not self.num_clusters or self.num_clusters < 1:
-                raise ValueError("cluster engine needs num_clusters >= 1")
-        elif self.num_clusters is not None:
-            raise ValueError(f"{self.kind} takes no num_clusters")
-
-    @property
-    def size_n(self) -> int:
-        return 64 * self.oversample
-
-    @property
-    def key(self) -> str:
-        if self.kind == "cluster":
-            return f"cluster_k{self.num_clusters}_os{self.oversample}"
-        return f"{self.kind}_os{self.oversample}"
-
-    @property
-    def decimation(self) -> int:
-        """Native samples per engine sample."""
-        return 2 if self.oversample == 1 else 1
-
-
 def engine_coefficients(config: EngineConfig) -> np.ndarray:
     """N x 3 conjugated template coefficients, one column per root in
     PSS_ROOTS: a metric is |windows @ coef|^2."""
     n = config.size_n
     if config.kind == "cluster":
-        t25, t29 = (
-            kmeans_cluster(pss_time_domain(u, n).body, config.num_clusters, root=u)
-            for u in (25, 29)
-        )
-        templates = [t.quantized_template() for t in (t25, t29, conjugate_table(t29))]
+        templates = [t.quantized_template()
+                     for t in root_tables(n, config.num_clusters)]
     else:
         templates = [pss_time_domain(u, n).body for u in PSS_ROOTS]
     return np.conj(np.stack(templates, axis=1))

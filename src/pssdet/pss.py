@@ -13,6 +13,7 @@ asserted by the test suite at machine precision.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,9 @@ _SUPPORTED_SIZES = (64, 128)
 
 @dataclass(frozen=True)
 class ZcSequence:
-    """A Zadoff-Chu sequence d_u(n) = exp(-j pi u n (n+1) / L)."""
+    """A Zadoff-Chu sequence d_u(n) = exp(-j pi u n (n+1) / L), L = 63."""
 
     root: int
-    length: int
     values: np.ndarray
 
 
@@ -80,21 +80,19 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def zc_sequence(root: int, length: int = ZC_LENGTH) -> ZcSequence:
-    """Generate a Zadoff-Chu sequence of odd length.
+def zc_sequence(root: int) -> ZcSequence:
+    """Generate the length-63 Zadoff-Chu sequence of one root.
 
     Parameters
     ----------
     root : int
-        Root index u, coprime with ``length``.
-    length : int
-        Sequence length L, odd.
+        Root index u, coprime with ZC_LENGTH.
 
     Returns
     -------
     ZcSequence
         Unit-modulus sequence d_u(n) = exp(-j pi u n (n+1) / L) for
-        n = 0 .. L-1.
+        n = 0 .. L-1, L = ZC_LENGTH.
 
     Notes
     -----
@@ -103,26 +101,14 @@ def zc_sequence(root: int, length: int = ZC_LENGTH) -> ZcSequence:
     every element accurate to a couple of ulp, which the conjugate-pair
     identity between roots 29 and 34 relies on.
     """
-    if length % 2 == 0 or length < 3:
-        raise ValueError(f"length must be odd and >= 3, got {length}")
-    if not (0 < root < length):
-        raise ValueError(f"root must satisfy 0 < root < length, got {root}")
-    if np.gcd(root, length) != 1:
-        raise ValueError(f"root {root} is not coprime with length {length}")
-    n = np.arange(length, dtype=np.int64)
-    phase_idx = (root * n * (n + 1)) % (2 * length)
-    values = np.exp(-1j * np.pi * phase_idx / length)
-    return ZcSequence(root=root, length=length, values=_frozen(values))
-
-
-def conjugate_root(root: int) -> int:
-    """Return the PSS root whose sequence is the complex conjugate."""
-    try:
-        return CONJUGATE_ROOT[root]
-    except KeyError:
-        raise ValueError(
-            f"root {root} has no conjugate partner among {PSS_ROOTS}"
-        ) from None
+    if not (0 < root < ZC_LENGTH):
+        raise ValueError(f"root must satisfy 0 < root < {ZC_LENGTH}, got {root}")
+    if np.gcd(root, ZC_LENGTH) != 1:
+        raise ValueError(f"root {root} is not coprime with {ZC_LENGTH}")
+    n = np.arange(ZC_LENGTH, dtype=np.int64)
+    phase_idx = (root * n * (n + 1)) % (2 * ZC_LENGTH)
+    values = np.exp(-1j * np.pi * phase_idx / ZC_LENGTH)
+    return ZcSequence(root=root, values=_frozen(values))
 
 
 def map_to_subcarriers(seq: ZcSequence, size_n: int) -> FreqGrid:
@@ -133,8 +119,6 @@ def map_to_subcarriers(seq: ZcSequence, size_n: int) -> FreqGrid:
     d(32..62) to k = +1 .. +31, i.e. bin k holds d(k + 31) for every
     occupied k.  DC and all bins beyond +/-31 stay zero.
     """
-    if seq.length != ZC_LENGTH:
-        raise ValueError(f"expected a length-{ZC_LENGTH} sequence, got {seq.length}")
     if size_n < ZC_LENGTH + 1:
         raise ValueError(
             f"size_n = {size_n} cannot hold 62 occupied bins plus DC"
@@ -161,14 +145,11 @@ def pss_time_domain(root: int, size_n: int) -> PssWaveform:
     return PssWaveform(root=root, size_n=size_n, cp_len=0, samples=_frozen(samples))
 
 
-def add_cyclic_prefix(w: PssWaveform, cp_len: int | None = None) -> PssWaveform:
-    """Prepend the last ``cp_len`` body samples as a cyclic prefix."""
+def add_cyclic_prefix(w: PssWaveform) -> PssWaveform:
+    """Prepend the last CP_LENGTH[N] body samples as a cyclic prefix."""
     if w.cp_len != 0:
         raise ValueError("waveform already carries a cyclic prefix")
-    if cp_len is None:
-        cp_len = CP_LENGTH[w.size_n]
-    if not (0 < cp_len < w.size_n):
-        raise ValueError(f"cp_len must lie in (0, {w.size_n}), got {cp_len}")
+    cp_len = CP_LENGTH[w.size_n]
     samples = np.concatenate([w.samples[-cp_len:], w.samples])
     return PssWaveform(
         root=w.root, size_n=w.size_n, cp_len=cp_len, samples=_frozen(samples)
@@ -176,8 +157,28 @@ def add_cyclic_prefix(w: PssWaveform, cp_len: int | None = None) -> PssWaveform:
 
 
 # ---------------------------------------------------------------------------
-# File formats: CSV (index, re, im) and raw interleaved float64 IQ.
+# File formats: CSV (index, re, im), raw interleaved float64 IQ, and the
+# atomic text writer behind tables, stream sidecars and command outputs.
 # ---------------------------------------------------------------------------
+
+def write_text(path, text: str) -> None:
+    """Write a text file atomically, creating its directory if missing.
+
+    The text goes to a temporary file next to ``path``, which is then
+    renamed over it, so readers never see a partial file; the temporary
+    file is removed if anything fails.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
 
 def write_waveform_csv(path, samples: np.ndarray) -> None:
     """Write complex samples as CSV rows ``index,re,im``.

@@ -74,8 +74,8 @@ def test_criterion_1_full_cluster_count_recovers_matched_filter():
         for table, w in zip(tables, waveforms):
             quant, _ = cluster_correlate(buf, table, "circular")
             exact, _ = mf_correlate(buf, w, "circular")
-            err = np.max(np.abs(quant.values - exact.values))
-            worst = max(worst, err / np.max(exact.values))
+            err = np.max(np.abs(quant - exact))
+            worst = max(worst, err / np.max(exact))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0
     record_criterion(
@@ -95,8 +95,8 @@ def test_criterion_2_folded_filter_is_exact():
         folded, _ = mf_correlate_optimized(buf, waveforms, "sliding")
         for trace, w in zip(folded, waveforms):
             exact, _ = mf_correlate(buf, w, "sliding")
-            err = np.max(np.abs(trace.values - exact.values))
-            worst = max(worst, err / np.max(exact.values))
+            err = np.max(np.abs(trace - exact))
+            worst = max(worst, err / np.max(exact))
     ok = worst <= 1e-12
     record_criterion(
         f"{'PASS' if ok else 'FAIL'} criterion 2: symmetry-folded filter "
@@ -108,24 +108,24 @@ def test_criterion_2_folded_filter_is_exact():
 
 def test_criterion_3_per_sample_operation_counts():
     expected = [
-        (dict(engine="mf_brute", oversample=1), 64, 63.0),
-        (dict(engine="mf_brute", oversample=2), 128, 127.0),
-        (dict(engine="mf_opt", oversample=1), 33, 63.5),
-        (dict(engine="mf_opt", oversample=2), 65, 127.5),
-        (dict(engine="cluster", oversample=2, num_clusters=6), 6, 127.0),
-        (dict(engine="cluster", oversample=2, num_clusters=8), 8, 127.0),
-        (dict(engine="cluster", oversample=2, num_clusters=16), 16, 127.0),
-        (dict(engine="cluster", oversample=1, num_clusters=8), 8, 63.0),
+        (EngineConfig("mf_brute", oversample=1), 64, 63.0),
+        (EngineConfig("mf_brute", oversample=2), 128, 127.0),
+        (EngineConfig("mf_opt", oversample=1), 33, 63.5),
+        (EngineConfig("mf_opt", oversample=2), 65, 127.5),
+        (EngineConfig("cluster", oversample=2, num_clusters=6), 6, 127.0),
+        (EngineConfig("cluster", oversample=2, num_clusters=8), 8, 127.0),
+        (EngineConfig("cluster", oversample=2, num_clusters=16), 16, 127.0),
+        (EngineConfig("cluster", oversample=1, num_clusters=8), 8, 63.0),
     ]
     rows = []
     ok = True
-    for kwargs, cm, ca in expected:
-        row = bench_ops(**kwargs)
+    for config, cm, ca in expected:
+        row = bench_ops(config)
         ok &= row["cm_per_sample"] == cm and row["ca_per_sample"] == ca
         rows.append(f"{row['engine']}/os{row['oversampling']}"
                     f"{'/k' + str(row['K']) if row['K'] else ''}="
                     f"{row['cm_per_sample']}cm")
-    moves = bench_ops(engine="cluster", oversample=2, num_clusters=8,
+    moves = bench_ops(EngineConfig("cluster", oversample=2, num_clusters=8),
                       architecture="shift_register")["data_moves"]
     ok &= moves == 128
     record_criterion(
@@ -149,8 +149,7 @@ def test_criterion_4_clustered_autocorrelation_margin():
         t29 = kmeans_cluster(pss_time_domain(29, 128).body, k, root=29)
         for u, table in ((25, t25), (29, t29), (34, conjugate_table(t29))):
             body = pss_time_domain(u, 128).body
-            trace, _ = cluster_correlate(body, table, "circular")
-            v = trace.values
+            v, _ = cluster_correlate(body, table, "circular")
             dist = np.minimum(np.arange(128), 128 - np.arange(128))
             ratio = v[0] / v[dist >= 2].max()
             ok &= int(np.argmax(v)) == 0

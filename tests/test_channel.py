@@ -150,7 +150,7 @@ def test_timing_offset_places_burst():
     np.testing.assert_allclose(stream.samples[50: 50 + 137], w.samples,
                                atol=1e-15)
     trace, _ = mf_correlate(stream.samples, pss_time_domain(25, 128), "sliding")
-    assert int(np.argmax(trace.values)) == 50 + 9
+    assert int(np.argmax(trace)) == 50 + 9
     assert stream.pss_starts.tolist() == [50 + 9]
 
 

@@ -57,6 +57,9 @@ def test_parse_engines():
     ]
     with pytest.raises(CliError):
         parse_engines(" , ")
+    # The same engine spelled twice is still one key.
+    with pytest.raises(CliError, match="cluster_k8_os2"):
+        parse_engines("cluster:k8,mf_opt:os1,cluster:k8:os2")
 
 
 def test_parse_snr_grid():
@@ -111,6 +114,29 @@ def test_gen_pss_iq_with_prefix(tmp_path, capsys):
                  "--format", "iq", "--out", out]) == 0
     capsys.readouterr()
     assert os.path.getsize(out) == (128 + 9) * 16
+
+
+def test_cluster_command_creates_output_dir(tmp_path, capsys):
+    out_dir = tmp_path / "newdir" / "t"
+    assert main(["cluster", "--root", "29", "--size-n", "64", "--clusters", "6",
+                 "--output-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert os.listdir(out_dir) == ["table_u29_n64_k6.json"]
+    assert load_table(out_dir / "table_u29_n64_k6.json").num_clusters == 6
+
+
+def test_output_files_follow_the_umask(tmp_path, capsys):
+    mask = os.umask(0o022)
+    try:
+        assert main(["calibrate", "--engines", "mf_opt:os1", "--trials", "100",
+                     "--output-dir", str(tmp_path)]) == 0
+        assert main(["cluster", "--size-n", "64", "--output-dir",
+                     str(tmp_path)]) == 0
+    finally:
+        os.umask(mask)
+    capsys.readouterr()
+    for name in ("thresholds.json", "manifest.json", "table_u25_n64_k8.json"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == 0o644, name
 
 
 def test_cluster_command_writes_loadable_table(tmp_path, capsys):
@@ -365,6 +391,20 @@ def test_pmd_rejects_bad_channels_before_calibrating(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["calibrate"],
+    ["pmd", "--snr", "0", "--cal-trials", "100"],
+], ids=["calibrate", "pmd"])
+def test_repeated_engine_exits_1_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--engines", "mf_opt:os2,cluster:k8,mf_opt:os2",
+                 "--trials", "100", "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "mf_opt_os2" in captured.err
+    assert "threshold" not in captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, config", [
     ("calibrate", {"trials": "10"}),
     ("calibrate", {"seed": True}),
@@ -458,6 +498,6 @@ def test_bench_ops_command(tmp_path, capsys):
 
 
 def test_bench_ops_matches_library():
-    row = bench_ops("cluster", oversample=2, num_clusters=16)
+    row = bench_ops(EngineConfig("cluster", num_clusters=16))
     assert row["cm_per_sample"] == 16
     assert row["ca_per_sample"] == 127

@@ -18,7 +18,7 @@ from pssdet import (
     pss_time_domain,
     save_table,
 )
-from pssdet.clustering import _wwcss
+from pssdet.clustering import _wwcss, root_tables
 
 # Deterministic farthest-point Lloyd results on the 128-sample bodies.
 # Frozen from a reference run; regenerating must reproduce them.
@@ -157,8 +157,6 @@ def test_validation_errors():
         kmeans_cluster(body, 4, weights=np.array([1.0, 1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         kmeans_cluster(body, 4, root=26)
-    with pytest.raises(ValueError):
-        kmeans_cluster(body, 4, max_iters=0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +181,19 @@ def test_conjugate_table_matches_direct_clustering():
     back = conjugate_table(t34)
     assert back.root == 29
     np.testing.assert_array_equal(back.means, t29.means)
+
+
+@pytest.mark.parametrize("size_n", [64, 128])
+def test_root_tables_in_pss_root_order(size_n):
+    t25, t29, t34 = root_tables(size_n, 8)
+    assert (t25.root, t29.root, t34.root) == (25, 29, 34)
+    assert all(t.size_n == size_n and t.num_clusters == 8
+               for t in (t25, t29, t34))
+    body = pss_time_domain(25, size_n).body
+    np.testing.assert_array_equal(t25.means,
+                                  kmeans_cluster(body, 8, root=25).means)
+    np.testing.assert_array_equal(t34.means, np.conj(t29.means))
+    np.testing.assert_array_equal(t34.lut, t29.lut)
 
 
 def test_conjugate_table_rejects_unpaired_roots():

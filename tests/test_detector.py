@@ -129,7 +129,7 @@ def test_mf_engine_matches_reference_trace():
             EngineConfig("mf_brute", oversample=oversample), r)
         for col, w in enumerate(_waveforms(64 * oversample)):
             trace, _ = mf_correlate(r[::decim], w, "sliding")
-            np.testing.assert_allclose(values[:, col], trace.values, rtol=1e-10)
+            np.testing.assert_allclose(values[:, col], trace, rtol=1e-10)
 
 
 def test_optimized_engine_matches_folded_reference():
@@ -141,8 +141,7 @@ def test_optimized_engine_matches_folded_reference():
         traces, _ = mf_correlate_optimized(r[::decim], _waveforms(64 * oversample),
                                            "sliding")
         for col in range(3):
-            np.testing.assert_allclose(values[:, col], traces[col].values,
-                                       rtol=1e-10)
+            np.testing.assert_allclose(values[:, col], traces[col], rtol=1e-10)
 
 
 @pytest.mark.parametrize("arch", ["lut_steering", "shift_register"])
@@ -155,7 +154,7 @@ def test_cluster_engine_matches_both_architectures(arch):
         for col, table in enumerate(_tables(64 * oversample, 8)):
             trace, _ = cluster_correlate(r[::decim], table,
                                          "sliding", architecture=arch)
-            np.testing.assert_allclose(values[:, col], trace.values, rtol=1e-10)
+            np.testing.assert_allclose(values[:, col], trace, rtol=1e-10)
 
 
 def test_half_rate_cluster_engine_uses_small_grid():
