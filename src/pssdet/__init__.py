@@ -1,7 +1,7 @@
 """Low-complexity PSS detection with cluster-quantized correlators.
 
 The package splits into five layers: reference waveform synthesis
-(:mod:`pssdet.pss`), weighted k-means template quantization
+(:mod:`pssdet.pss`), k-means template quantization
 (:mod:`pssdet.clustering`), the three correlator engines, their
 configurations and exact operation accounting
 (:mod:`pssdet.correlator`), channel and capture
@@ -28,7 +28,6 @@ from .clustering import (
     ClusterTable,
     conjugate_table,
     kmeans_cluster,
-    load_table,
     save_table,
 )
 from .correlator import (
@@ -86,7 +85,6 @@ __all__ = [
     "detect",
     "embed_pss_in_halfframe",
     "kmeans_cluster",
-    "load_table",
     "map_to_subcarriers",
     "median_time_ci",
     "merge_taps",

@@ -22,8 +22,8 @@ import sys
 
 from . import channel as ch
 from .channel import read_stream
-from .clustering import kmeans_cluster, save_table
-from .correlator import EngineConfig, bench_ops
+from .clustering import root_tables, save_table
+from .correlator import EngineConfig, bench_ops, distinct_engines
 from .detector import (
     DEFAULT_PFA,
     acquisition_cdf,
@@ -48,8 +48,8 @@ DEFAULT_ENGINES = "mf_opt:os1,mf_opt:os2,cluster:k8:os2,cluster:k16:os2"
 # Each key is one flag (``max_half_frames`` is ``--max-half-frames``)
 # whose type is its default's type, a string where the default is None.
 OPTIONS = {
-    "cluster": {"root": 25, "size_n": 128, "clusters": 8, "seed": 0,
-                "restarts": 0, "out": None, "output_dir": "."},
+    "cluster": {"root": 25, "size_n": 128, "clusters": 8, "out": None,
+                "output_dir": "."},
     "calibrate": {"engines": DEFAULT_ENGINES, "pfa": DEFAULT_PFA,
                   "trials": 2000, "seed": 0, "jobs": 1, "output_dir": "."},
     "pmd": {"engines": DEFAULT_ENGINES, "snr": "-12:0:1", "trials": 1000,
@@ -102,15 +102,14 @@ def parse_engine_spec(spec: str) -> EngineConfig:
         raise CliError(str(exc)) from exc
 
 
-def parse_engines(text: str) -> list[EngineConfig]:
+def parse_engines(text: str) -> tuple[EngineConfig, ...]:
     configs = [parse_engine_spec(tok) for tok in text.split(",") if tok.strip()]
     if not configs:
         raise CliError("no engines given")
-    keys = [c.key for c in configs]
-    repeated = sorted({k for k in keys if keys.count(k) > 1})
-    if repeated:
-        raise CliError(f"engines given more than once: {', '.join(repeated)}")
-    return configs
+    try:
+        return distinct_engines(configs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def parse_snr_grid(text: str) -> list[float]:
@@ -260,11 +259,8 @@ def cmd_cluster(args) -> int:
     root = resolved["root"]
     if root not in PSS_ROOTS:
         raise CliError(f"root must be one of {PSS_ROOTS}")
-    w = pss_time_domain(root, resolved["size_n"])
-    table = kmeans_cluster(
-        w.body, resolved["clusters"], seed=resolved["seed"],
-        random_restarts=resolved["restarts"], root=root,
-    )
+    table = root_tables(resolved["size_n"], resolved["clusters"])[
+        PSS_ROOTS.index(root)]
     out = resolved["out"] or os.path.join(
         resolved["output_dir"],
         f"table_u{root}_n{resolved['size_n']}_k{resolved['clusters']}.json",
@@ -384,7 +380,7 @@ def cmd_acq(args) -> int:
 
 
 def cmd_bench_ops(args) -> int:
-    rows = [bench_ops(config, probe_lags=args.probe_lags)
+    rows = [bench_ops(config)
             for config in parse_engines(args.engines or DEFAULT_ENGINES)]
     text = json.dumps(rows, indent=2)
     print(text)
@@ -412,7 +408,8 @@ def build_parser() -> _Parser:
     engines = dict(help="comma list, e.g. " + DEFAULT_ENGINES)
     thresholds = dict(help="thresholds.json from calibrate")
     profile = dict(choices=("awgn", "tu6"))
-    _add_options(subs, "cluster", cmd_cluster, "build and save a cluster table")
+    _add_options(subs, "cluster", cmd_cluster,
+                 "save one root's cluster table, as the engines build it")
     _add_options(subs, "calibrate", cmd_calibrate, "calibrate CFAR thresholds",
                  engines=engines)
 
@@ -440,7 +437,6 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("bench-ops", help="per-sample operation counts")
     p.add_argument("--engines", default=DEFAULT_ENGINES)
-    p.add_argument("--probe-lags", dest="probe_lags", type=int, default=256)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench_ops)
 

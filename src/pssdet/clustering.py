@@ -4,15 +4,15 @@ The complex time-domain PSS takes many distinct values, but most of
 them huddle together in the complex plane.  Replacing each sample by
 its cluster mean turns the matched filter's N complex multiplications
 into K, one per cluster, at the price of a small self-interference
-term.  The clustering itself is plain weighted K-means (Lloyd), made
-fully deterministic so that tables regenerate identically from a
-config: greedy farthest-point seeding, lowest-index tie-breaks in both
-seeding and assignment, and a fixed empty-cluster repair rule.
+term.  The clustering itself is plain K-means (Lloyd), made fully
+deterministic so that tables regenerate identically: greedy
+farthest-point seeding, lowest-index tie-breaks in both seeding and
+assignment, and a fixed empty-cluster repair rule.
 
 Only roots 25 and 29 need to be clustered.  Root 34 is the complex
 conjugate of root 29, so its table is derived by conjugate_table and
-shares the partition exactly; root_tables applies that rule for every
-engine.
+shares the partition exactly.  root_tables applies that rule and is
+the one source of the tables every engine and ``pssdet cluster`` use.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .pss import CONJUGATE_ROOT, PSS_ROOTS, pss_time_domain, write_text
 
-TABLE_SCHEMA_VERSION = 1
+TABLE_SCHEMA_VERSION = 2
 DEFAULT_MAX_ITERS = 100
 
 
@@ -36,14 +36,13 @@ class ClusterTable:
     cluster 0 in ascending order, then cluster 1, and so on, so entries
     at offsets sum(sizes[:k]) .. sum(sizes[:k+1])-1 list the template
     indices n with assignment[n] == k.  ``wwcss_history`` records the
-    weighted within-cluster sum of squares after each Lloyd iteration;
+    within-cluster sum of squares after each Lloyd iteration;
     it is diagnostic only and is not serialized.
     """
 
     root: int | None
     size_n: int
     num_clusters: int
-    weights: np.ndarray
     means: np.ndarray
     sizes: np.ndarray
     assignment: np.ndarray
@@ -61,42 +60,40 @@ class ClusterTable:
         return self.means[self.assignment]
 
 
-def _wwcss(samples, means, assignment, weights) -> float:
-    d2 = np.abs(samples - means[assignment]) ** 2
-    return float(np.sum(weights[assignment] * d2))
+def _wwcss(samples, means, assignment) -> float:
+    return float(np.sum(np.abs(samples - means[assignment]) ** 2))
 
 
-def _seed_farthest_point(samples, k, weights) -> np.ndarray:
+def _seed_farthest_point(samples, k) -> np.ndarray:
     """Greedy deterministic seeding.
 
     Mean 0 is sample index 0.  Each further mean is the not-yet-chosen
-    sample with the largest weighted squared distance to its nearest
+    sample with the largest squared distance to its nearest
     chosen mean, ties resolved toward the lowest sample index.
     """
     n = len(samples)
     chosen = [0]
-    dmin = weights[0] * np.abs(samples - samples[0]) ** 2
+    dmin = np.abs(samples - samples[0]) ** 2
     taken = np.zeros(n, dtype=bool)
     taken[0] = True
-    for j in range(1, k):
+    for _ in range(1, k):
         cand = np.flatnonzero(~taken)
         pick = cand[np.argmax(dmin[cand])]
         chosen.append(int(pick))
         taken[pick] = True
-        dmin = np.minimum(dmin, weights[j] * np.abs(samples - samples[pick]) ** 2)
+        dmin = np.minimum(dmin, np.abs(samples - samples[pick]) ** 2)
     return samples[np.asarray(chosen)].copy()
 
 
-def _assign(samples, means, weights) -> np.ndarray:
+def _assign(samples, means) -> np.ndarray:
     # argmin picks the lowest cluster index when several tie.
-    d2 = weights[None, :] * np.abs(samples[:, None] - means[None, :]) ** 2
-    return np.argmin(d2, axis=1)
+    return np.argmin(np.abs(samples[:, None] - means[None, :]) ** 2, axis=1)
 
 
-def _repair_empty(samples, means, weights, assignment, k) -> np.ndarray:
+def _repair_empty(samples, means, assignment, k) -> np.ndarray:
     """Move one sample into each empty cluster.
 
-    The donor is the sample with the largest weighted distance to its
+    The donor is the sample with the largest distance to its
     current mean among clusters that still hold at least two members
     (lowest sample index on ties).  Processed in ascending cluster
     index so the outcome does not depend on dict ordering.
@@ -107,56 +104,45 @@ def _repair_empty(samples, means, weights, assignment, k) -> np.ndarray:
             continue
         sizes = np.bincount(assignment, minlength=k)
         eligible = np.flatnonzero(sizes[assignment] >= 2)
-        d = weights[assignment[eligible]] * np.abs(
-            samples[eligible] - means[assignment[eligible]]
-        ) ** 2
+        d = np.abs(samples[eligible] - means[assignment[eligible]]) ** 2
         assignment[eligible[np.argmax(d)]] = k_empty
     return assignment
 
 
-def _lloyd(samples, initial_means, weights):
+def _lloyd(samples, initial_means):
     k = len(initial_means)
-    means = initial_means.copy()
+    means = initial_means
     assignment = np.full(len(samples), -1, dtype=np.int64)
     history = []
     converged = False
     for _ in range(DEFAULT_MAX_ITERS):
-        new = _assign(samples, means, weights)
-        new = _repair_empty(samples, means, weights, new, k)
+        new = _assign(samples, means)
+        new = _repair_empty(samples, means, new, k)
         if np.array_equal(new, assignment):
             converged = True
             break
         assignment = new
         for j in range(k):
             means[j] = np.mean(samples[assignment == j])
-        history.append(_wwcss(samples, means, assignment, weights))
+        history.append(_wwcss(samples, means, assignment))
     return means, assignment, history, converged
 
 
 def kmeans_cluster(
     samples: np.ndarray,
     num_clusters: int,
-    weights: np.ndarray | None = None,
-    seed: int | None = None,
     root: int | None = None,
-    random_restarts: int = 0,
 ) -> ClusterTable:
-    """Cluster complex samples by weighted K-means.
+    """Cluster complex samples by K-means.
 
     Parameters
     ----------
     samples : complex array
         The N template samples to cluster.
     num_clusters : int
-        K, with 1 <= K <= N.
-    weights : array of K positive reals, optional
-        Per-cluster weights in the objective
-        sum_k w_k sum_{n in cluster k} |s_n - mu_k|^2.  Defaults to 1.
-    seed, random_restarts
-        The default run is fully deterministic (farthest-point
-        seeding).  With random_restarts > 0, that run competes against
-        the given number of randomly seeded runs and the lowest final
-        WWCSS wins; ``seed`` only feeds those restarts.
+        K, with 1 <= K <= N.  The objective is
+        sum_k sum_{n in cluster k} |s_n - mu_k|^2, minimized by Lloyd
+        iterations from deterministic farthest-point seeding.
     root : int, optional
         PSS root index recorded in the table, for bookkeeping.
 
@@ -170,26 +156,11 @@ def kmeans_cluster(
     n = len(samples)
     if not (1 <= num_clusters <= n):
         raise ValueError(f"num_clusters must lie in [1, {n}], got {num_clusters}")
-    if weights is None:
-        weights = np.ones(num_clusters)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (num_clusters,):
-        raise ValueError("weights must have one entry per cluster")
-    if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be positive and finite")
     if root is not None and root not in PSS_ROOTS:
         raise ValueError(f"root must be one of {PSS_ROOTS} or None, got {root}")
 
-    runs = [_lloyd(samples, _seed_farthest_point(samples, num_clusters, weights),
-                   weights)]
-    if random_restarts > 0:
-        rng = np.random.default_rng(seed)
-        for _ in range(random_restarts):
-            idx = rng.choice(n, size=num_clusters, replace=False)
-            runs.append(_lloyd(samples, samples[idx].copy(), weights))
-
-    best = min(runs, key=lambda run: run[2][-1] if run[2] else np.inf)
-    means, assignment, history, converged = best
+    means, assignment, history, converged = _lloyd(
+        samples, _seed_farthest_point(samples, num_clusters))
 
     sizes = np.bincount(assignment, minlength=num_clusters).astype(np.int64)
     lut = np.concatenate(
@@ -199,16 +170,15 @@ def kmeans_cluster(
         root=root,
         size_n=n,
         num_clusters=num_clusters,
-        weights=weights,
         means=means,
         sizes=sizes,
         assignment=assignment.astype(np.int64),
         lut=lut,
-        final_wwcss=history[-1] if history else _wwcss(samples, means, assignment, weights),
+        final_wwcss=history[-1],
         converged=converged,
         wwcss_history=tuple(history),
     )
-    for arr in (table.weights, table.means, table.sizes, table.assignment, table.lut):
+    for arr in (table.means, table.sizes, table.assignment, table.lut):
         arr.setflags(write=False)
     return table
 
@@ -232,7 +202,6 @@ def conjugate_table(table: ClusterTable) -> ClusterTable:
         root=CONJUGATE_ROOT[table.root],
         size_n=table.size_n,
         num_clusters=table.num_clusters,
-        weights=table.weights,
         means=means,
         sizes=table.sizes,
         assignment=table.assignment,
@@ -252,8 +221,7 @@ def root_tables(size_n: int, k: int) -> tuple[ClusterTable, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization.  Tables are validated strictly on load and rejected on
-# any inconsistency; nothing is repaired silently.
+# Serialization.
 # ---------------------------------------------------------------------------
 
 def save_table(table: ClusterTable, path) -> None:
@@ -263,7 +231,6 @@ def save_table(table: ClusterTable, path) -> None:
         "root_u": table.root,
         "N": int(table.size_n),
         "K": int(table.num_clusters),
-        "weights": [float(w) for w in table.weights],
         "means": [[float(m.real), float(m.imag)] for m in table.means],
         "sizes": [int(s) for s in table.sizes],
         "lut_pi": [int(i) for i in table.lut],
@@ -272,59 +239,3 @@ def save_table(table: ClusterTable, path) -> None:
         "converged": bool(table.converged),
     }
     write_text(path, json.dumps(doc, indent=2) + "\n")
-
-
-def load_table(path) -> ClusterTable:
-    """Read and validate a ClusterTable written by save_table."""
-    with open(path) as f:
-        doc = json.load(f)
-
-    def bail(msg):
-        raise ValueError(f"invalid cluster table {path}: {msg}")
-
-    if doc.get("schema_version") != TABLE_SCHEMA_VERSION:
-        bail(f"unsupported schema_version {doc.get('schema_version')}")
-    required = ("root_u", "N", "K", "weights", "means", "sizes",
-                "lut_pi", "assignment", "final_wwcss", "converged")
-    for key in required:
-        if key not in doc:
-            bail(f"missing field {key}")
-    root = doc["root_u"]
-    if root is not None and root not in PSS_ROOTS:
-        bail(f"root_u {root} not in {PSS_ROOTS}")
-    n, k = doc["N"], doc["K"]
-    if not (isinstance(n, int) and isinstance(k, int) and 1 <= k <= n):
-        bail(f"bad N={n}, K={k}")
-    weights = np.asarray(doc["weights"], dtype=float)
-    means_pairs = doc["means"]
-    sizes = np.asarray(doc["sizes"], dtype=np.int64)
-    lut = np.asarray(doc["lut_pi"], dtype=np.int64)
-    assignment = np.asarray(doc["assignment"], dtype=np.int64)
-    if weights.shape != (k,) or np.any(weights <= 0):
-        bail("weights must be K positive reals")
-    if len(means_pairs) != k or any(len(p) != 2 for p in means_pairs):
-        bail("means must be K [re, im] pairs")
-    means = np.asarray([complex(p[0], p[1]) for p in means_pairs])
-    if sizes.shape != (k,) or np.any(sizes < 1) or sizes.sum() != n:
-        bail("sizes must be K positive ints summing to N")
-    if assignment.shape != (n,) or np.any((assignment < 0) | (assignment >= k)):
-        bail("assignment must be N entries in [0, K)")
-    if not np.array_equal(np.bincount(assignment, minlength=k), sizes):
-        bail("sizes disagree with assignment")
-    if lut.shape != (n,) or not np.array_equal(np.sort(lut), np.arange(n)):
-        bail("lut_pi must be a permutation of 0..N-1")
-    expected_lut = np.concatenate([np.flatnonzero(assignment == j) for j in range(k)])
-    if not np.array_equal(lut, expected_lut):
-        bail("lut_pi ordering disagrees with assignment")
-    final_wwcss = float(doc["final_wwcss"])
-    if not (np.isfinite(final_wwcss) and final_wwcss >= 0):
-        bail("final_wwcss must be a finite non-negative number")
-
-    table = ClusterTable(
-        root=root, size_n=n, num_clusters=k, weights=weights, means=means,
-        sizes=sizes, assignment=assignment, lut=lut,
-        final_wwcss=final_wwcss, converged=bool(doc["converged"]),
-    )
-    for arr in (table.weights, table.means, table.sizes, table.assignment, table.lut):
-        arr.setflags(write=False)
-    return table

@@ -14,12 +14,15 @@ very different multiplier budgets per incoming sample:
   summed first and the K running sums are multiplied by the conjugate
   cluster means, K multiplications per root.
 
-Operation counters are incremented at each arithmetic site with the
-exact element counts of that site, never estimated from formulas.  The
-brute-force tally books each magnitude-squared as one complex
-multiplication (and itemizes it again in real_ops), which reconciles
-the classical N+1 per-correlation count with the N multiplier-only
-count quoted per incoming sample; bench_ops does that subtraction.
+Operation counters are booked per call from the hardware
+architecture's per-lag formulas (for example N complex multiplications
+per lag for the brute filter) times the lag count, not from how numpy
+happens to vectorize the arithmetic; bench_ops checks that they divide
+exactly into per-sample counts.  The brute-force tally books each
+magnitude-squared as one complex multiplication (and itemizes it again
+in real_ops), which reconciles the classical N+1 per-correlation count
+with the N multiplier-only count quoted per incoming sample; bench_ops
+does that subtraction.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from .pss import PSS_ROOTS, PssWaveform, pss_time_domain
 ENGINE_KINDS = ("mf_brute", "mf_opt", "cluster")
 LAG_MODES = ("circular", "sliding")
 ARCHITECTURES = ("lut_steering", "shift_register")
+# Lags bench_ops runs each engine over.  Its counts are normalized per
+# lag, so any lag count gives the same rows.
+PROBE_LAGS = 256
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,17 @@ class EngineConfig:
     def decimation(self) -> int:
         """Native samples per engine sample."""
         return 2 if self.oversample == 1 else 1
+
+
+def distinct_engines(engines) -> tuple[EngineConfig, ...]:
+    """The engines as a tuple; an engine given more than once is an
+    error, since results are reported once per engine key."""
+    configs = tuple(engines)
+    keys = [c.key for c in configs]
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:
+        raise ValueError(f"engines given more than once: {', '.join(repeated)}")
+    return configs
 
 
 @dataclass
@@ -261,11 +278,7 @@ def cluster_correlate(
 # Complexity reporting.
 # ---------------------------------------------------------------------------
 
-def bench_ops(
-    config: EngineConfig,
-    architecture: str = "lut_steering",
-    probe_lags: int = 256,
-) -> dict:
+def bench_ops(config: EngineConfig, architecture: str = "lut_steering") -> dict:
     """Measure per-incoming-sample operation counts for one engine.
 
     The engine runs on a deterministic noise probe and the counters are
@@ -279,8 +292,8 @@ def bench_ops(
     """
     n = config.size_n
     rng = np.random.default_rng(0xBE2C + n)
-    probe = rng.standard_normal(n + probe_lags - 1) + 1j * rng.standard_normal(
-        n + probe_lags - 1
+    probe = rng.standard_normal(n + PROBE_LAGS - 1) + 1j * rng.standard_normal(
+        n + PROBE_LAGS - 1
     )
     waveforms = tuple(pss_time_domain(u, n) for u in PSS_ROOTS)
     if config.kind == "mf_brute":
@@ -292,7 +305,7 @@ def bench_ops(
                  for t in root_tables(n, config.num_clusters)]
     total = sum((ops for _, ops in calls), OpCount())
     # Distinct correlators: the folded filter's roots 29 and 34 share one.
-    per = probe_lags * (2 if config.kind == "mf_opt" else 3)
+    per = PROBE_LAGS * (2 if config.kind == "mf_opt" else 3)
 
     mults = total.complex_mults
     if config.kind == "mf_brute":

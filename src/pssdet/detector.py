@@ -80,7 +80,7 @@ from .channel import (
     embed_pss_in_halfframe,
 )
 from .clustering import root_tables
-from .correlator import EngineConfig
+from .correlator import EngineConfig, distinct_engines
 from .pss import PSS_ROOTS, add_cyclic_prefix, pss_time_domain
 
 # Every Monte Carlo trial transmits this root.
@@ -364,14 +364,14 @@ def calibrate_thresholds(
     each engine keeps its maximum metric over lags and roots, and its
     threshold is the linear-interpolated quantile of those maxima.
     Trial t draws from the key (CALIBRATION, t) below ``seed``, which
-    must be non-negative.
+    must be non-negative.  Each engine may appear only once.
     """
+    configs = distinct_engines(engines)
     _check_seed(seed)
     if not (0.0 < pfa < 1.0):
         raise ValueError(f"pfa must lie in (0, 1), got {pfa}")
     if trials < 100:
         raise ValueError("calibration needs at least 100 trials")
-    configs = tuple(engines)
     payload = (configs, seed)
     maxima = np.concatenate(_chunked(_calibrate_chunk, trials, jobs, payload))
     quantiles = np.quantile(maxima, 1.0 - pfa, axis=0)
@@ -508,9 +508,10 @@ def pmd_experiment(
     engine has no correct detection (above threshold, right root,
     timing within tolerance) in it.  All engines run on the same
     stream, so the comparisons are paired.  Trial t of point p draws
-    from the key (TRIALS, p, t) below base_seed.
+    from the key (TRIALS, p, t) below base_seed.  Each engine may appear
+    only once.
     """
-    configs = list(engines)
+    configs = distinct_engines(engines)
     scenarios = [
         ChannelScenario(taps=taps, fading=fading, snr_db=float(s),
                         cfo_ppm=cfo_ppm, doppler_hz=doppler_hz)
@@ -523,7 +524,7 @@ def pmd_experiment(
     points = []
     for p, scenario in enumerate(scenarios):
         snr_db = scenario.snr_db
-        payload = (tuple(configs), lam, scenario, base_seed, p, 1)
+        payload = (configs, lam, scenario, base_seed, p, 1)
         first = np.concatenate(_chunked(_trial_chunk, trials, jobs, payload))
         misses = np.count_nonzero(first == 0, axis=0)
         for c, m in zip(configs, misses):
@@ -591,16 +592,16 @@ def acquisition_experiment(
     reached (censored trials keep the cap as their time).  All engines
     see the same streams, so acquisition times are paired.  The run is
     one experiment point: trial t draws from the key (TRIALS, 0, t)
-    below base_seed.
+    below base_seed.  Each engine may appear only once.
     """
-    configs = list(engines)
+    configs = distinct_engines(engines)
     scenario = ChannelScenario(taps=taps, fading=fading, snr_db=float(snr_db),
                                cfo_ppm=cfo_ppm, doppler_hz=doppler_hz)
     if max_half_frames < 1:
         raise ValueError("max_half_frames must be at least 1")
     lam = _experiment_thresholds(configs, thresholds, trials, pfa,
                                  calibration_trials, base_seed, jobs)
-    payload = (tuple(configs), lam, scenario, base_seed, 0, max_half_frames)
+    payload = (configs, lam, scenario, base_seed, 0, max_half_frames)
     first = np.concatenate(_chunked(_trial_chunk, trials, jobs, payload))
     rows = []
     for t, row in enumerate(first.tolist()):

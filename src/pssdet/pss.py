@@ -13,6 +13,7 @@ asserted by the test suite at machine precision.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
@@ -158,20 +159,21 @@ def add_cyclic_prefix(w: PssWaveform) -> PssWaveform:
 
 # ---------------------------------------------------------------------------
 # File formats: CSV (index, re, im), raw interleaved float64 IQ, and the
-# atomic text writer behind tables, stream sidecars and command outputs.
+# atomic writer behind every file the package writes.
 # ---------------------------------------------------------------------------
 
-def write_text(path, text: str) -> None:
-    """Write a text file atomically, creating its directory if missing.
+def write_text(path, text: str | bytes) -> None:
+    """Write a text (or bytes) file atomically, creating its directory
+    if missing.
 
-    The text goes to a temporary file next to ``path``, which is then
+    The data goes to a temporary file next to ``path``, which is then
     renamed over it, so readers never see a partial file; the temporary
     file is removed if anything fails.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as f:
+        with open(tmp, "wb" if isinstance(text, bytes) else "w") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -184,13 +186,15 @@ def write_waveform_csv(path, samples: np.ndarray) -> None:
     """Write complex samples as CSV rows ``index,re,im``.
 
     Floats are rendered with repr (shortest round-trip form), so the
-    file regenerates byte-identically for identical inputs.
+    file regenerates byte-identically for identical inputs.  Rows end
+    in CRLF, as csv.writer writes them.
     """
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["index", "re", "im"])
-        for i, v in enumerate(samples):
-            writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["index", "re", "im"])
+    for i, v in enumerate(samples):
+        writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+    write_text(path, buf.getvalue().encode("ascii"))
 
 
 def read_waveform_csv(path) -> np.ndarray:
@@ -205,7 +209,7 @@ def read_waveform_csv(path) -> np.ndarray:
 
 def write_iq(path, samples: np.ndarray) -> None:
     """Write raw IQ: little-endian float64, I and Q interleaved."""
-    np.asarray(samples, dtype="<c16").tofile(path)
+    write_text(path, np.asarray(samples, dtype="<c16").tobytes())
 
 
 def read_iq(path) -> np.ndarray:

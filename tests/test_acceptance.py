@@ -257,13 +257,12 @@ def test_criterion_8_clustering_convergence():
             ok &= bool(np.all(np.diff(hist) <= 1e-12))
             ok &= table.converged
             # Fixed point: means are member means, assignments are the
-            # weighted-distance argmin against those means.
+            # distance argmin against those means.
             body = pss_time_domain(u, 128).body
             for c in range(k):
                 members = body[table.assignment == c]
                 ok &= bool(np.abs(members.mean() - table.means[c]) < 1e-12)
-            d = table.weights[None, :] * np.abs(
-                body[:, None] - table.means[None, :]) ** 2
+            d = np.abs(body[:, None] - table.means[None, :]) ** 2
             ok &= bool(np.array_equal(np.argmin(d, axis=1), table.assignment))
             report.append(f"K{k}/u{u}:{len(hist)}it")
     exact = kmeans_cluster(pss_time_domain(25, 128).body, 128, root=25)

@@ -13,8 +13,6 @@ from pssdet import (
     bench_ops,
     calibrate_thresholds,
     embed_pss_in_halfframe,
-    kmeans_cluster,
-    load_table,
     pss_time_domain,
     read_waveform_csv,
     write_stream,
@@ -27,6 +25,7 @@ from pssdet.cli import (
     parse_engines,
     parse_snr_grid,
 )
+from pssdet.clustering import root_tables
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +107,14 @@ def test_gen_pss_csv(tmp_path, capsys):
                                atol=1e-15)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "iq"])
+def test_gen_pss_creates_output_dir(tmp_path, capsys, fmt):
+    out = tmp_path / "newdir" / f"p.{fmt}"
+    assert main(["gen-pss", "--format", fmt, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert os.listdir(out.parent) == [out.name]
+
+
 def test_gen_pss_iq_with_prefix(tmp_path, capsys):
     out = str(tmp_path / "pss.iq")
     assert main(["gen-pss", "--root", "25", "--size-n", "128", "--cp",
@@ -122,7 +129,7 @@ def test_cluster_command_creates_output_dir(tmp_path, capsys):
                  "--output-dir", str(out_dir)]) == 0
     capsys.readouterr()
     assert os.listdir(out_dir) == ["table_u29_n64_k6.json"]
-    assert load_table(out_dir / "table_u29_n64_k6.json").num_clusters == 6
+    assert json.loads((out_dir / "table_u29_n64_k6.json").read_text())["K"] == 6
 
 
 def test_output_files_follow_the_umask(tmp_path, capsys):
@@ -139,15 +146,26 @@ def test_output_files_follow_the_umask(tmp_path, capsys):
         assert os.stat(tmp_path / name).st_mode & 0o777 == 0o644, name
 
 
-def test_cluster_command_writes_loadable_table(tmp_path, capsys):
-    out = str(tmp_path / "table.json")
+def test_cluster_command_writes_the_engines_table(tmp_path, capsys):
+    # Root 34's table is the conjugate of root 29's, as the detector
+    # builds it, not a clustering of root 34's own samples.
+    out = tmp_path / "table.json"
     assert main(["cluster", "--root", "34", "--size-n", "128",
-                 "--clusters", "8", "--seed", "3", "--out", out]) == 0
+                 "--clusters", "8", "--out", str(out)]) == 0
     capsys.readouterr()
-    table = load_table(out)
-    direct = kmeans_cluster(pss_time_domain(34, 128).body, 8, seed=3, root=34)
-    assert table.final_wwcss == pytest.approx(direct.final_wwcss, rel=1e-12)
-    np.testing.assert_array_equal(table.assignment, direct.assignment)
+    doc = json.loads(out.read_text())
+    engine = root_tables(128, 8)[2]
+    assert doc["root_u"] == 34
+    means = np.array([complex(re, im) for re, im in doc["means"]])
+    np.testing.assert_array_equal(means, engine.means)
+    np.testing.assert_array_equal(doc["assignment"], engine.assignment)
+
+
+@pytest.mark.parametrize("argv", [["--seed", "3"], ["--restarts", "5"]])
+def test_cluster_command_has_no_clustering_options(tmp_path, capsys, argv):
+    assert main(["cluster", "--output-dir", str(tmp_path), *argv]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +508,7 @@ def test_acq_rejects_fewer_than_one_job(tmp_path, thresholds_file, capsys, jobs)
 def test_bench_ops_command(tmp_path, capsys):
     out = str(tmp_path / "ops.json")
     assert main(["bench-ops", "--engines", "mf_opt:os1,cluster:k8:os2",
-                 "--probe-lags", "64", "--out", out]) == 0
+                 "--out", out]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows[0]["cm_per_sample"] == 33
     assert rows[1]["cm_per_sample"] == 8

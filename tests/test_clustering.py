@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from pssdet import (
-    ClusterTable,
     conjugate_table,
     kmeans_cluster,
-    load_table,
     pss_time_domain,
     save_table,
 )
-from pssdet.clustering import _wwcss, root_tables
+from pssdet.clustering import TABLE_SCHEMA_VERSION, _wwcss, root_tables
 
 # Deterministic farthest-point Lloyd results on the 128-sample bodies.
 # Frozen from a reference run; regenerating must reproduce them.
@@ -96,7 +94,6 @@ def test_beats_random_partitions():
     body = _body(25)
     k = 16
     rng = np.random.default_rng(2024)
-    w = np.ones(k)
     best = np.inf
     for _ in range(200):
         while True:
@@ -104,7 +101,7 @@ def test_beats_random_partitions():
             if len(np.unique(a)) == k:
                 break
         means = np.asarray([body[a == j].mean() for j in range(k)])
-        best = min(best, _wwcss(body, means, a, w))
+        best = min(best, _wwcss(body, means, a))
     t = kmeans_cluster(body, k, root=25)
     assert t.final_wwcss < 0.25 * best
 
@@ -115,13 +112,6 @@ def test_clustering_is_deterministic():
     np.testing.assert_array_equal(a.means, b.means)
     np.testing.assert_array_equal(a.assignment, b.assignment)
     assert a.final_wwcss == b.final_wwcss
-
-
-def test_restarts_never_hurt():
-    body = _body(25)
-    base = kmeans_cluster(body, 8, root=25)
-    improved = kmeans_cluster(body, 8, root=25, seed=7, random_restarts=20)
-    assert improved.final_wwcss <= base.final_wwcss + 1e-15
 
 
 def test_symmetric_samples_share_clusters():
@@ -151,10 +141,6 @@ def test_validation_errors():
         kmeans_cluster(body, 129)
     with pytest.raises(ValueError):
         kmeans_cluster(body.reshape(2, 64), 4)
-    with pytest.raises(ValueError):
-        kmeans_cluster(body, 4, weights=np.ones(3))
-    with pytest.raises(ValueError):
-        kmeans_cluster(body, 4, weights=np.array([1.0, 1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         kmeans_cluster(body, 4, root=26)
 
@@ -213,16 +199,18 @@ def test_save_load_round_trip(tmp_path):
     t = kmeans_cluster(_body(25), 8, root=25)
     path = tmp_path / "table.json"
     save_table(t, path)
-    back = load_table(path)
-    assert isinstance(back, ClusterTable)
-    assert back.root == 25
-    assert back.size_n == 128 and back.num_clusters == 8
-    np.testing.assert_array_equal(back.means, t.means)
-    np.testing.assert_array_equal(back.assignment, t.assignment)
-    np.testing.assert_array_equal(back.lut, t.lut)
-    np.testing.assert_array_equal(back.sizes, t.sizes)
-    assert back.final_wwcss == t.final_wwcss
-    assert back.converged == t.converged
+    doc = json.loads(path.read_text())
+    assert doc["schema_version"] == TABLE_SCHEMA_VERSION == 2
+    assert "weights" not in doc
+    assert doc["root_u"] == 25
+    assert doc["N"] == 128 and doc["K"] == 8
+    means = np.array([complex(re, im) for re, im in doc["means"]])
+    np.testing.assert_array_equal(means, t.means)
+    np.testing.assert_array_equal(doc["assignment"], t.assignment)
+    np.testing.assert_array_equal(doc["lut_pi"], t.lut)
+    np.testing.assert_array_equal(doc["sizes"], t.sizes)
+    assert doc["final_wwcss"] == t.final_wwcss
+    assert doc["converged"] == t.converged
 
 
 def test_save_is_rewritable_byte_identical(tmp_path):
@@ -231,52 +219,3 @@ def test_save_is_rewritable_byte_identical(tmp_path):
     save_table(t, a)
     save_table(t, b)
     assert a.read_bytes() == b.read_bytes()
-
-
-def _corrupt(tmp_path, name, mutate):
-    t = kmeans_cluster(_body(25), 4, root=25)
-    path = tmp_path / f"{name}.json"
-    save_table(t, path)
-    doc = json.loads(path.read_text())
-    mutate(doc)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        load_table(path)
-
-
-def test_load_rejects_bad_schema_version(tmp_path):
-    _corrupt(tmp_path, "ver", lambda d: d.update(schema_version=99))
-
-
-def test_load_rejects_missing_field(tmp_path):
-    _corrupt(tmp_path, "missing", lambda d: d.pop("means"))
-
-
-def test_load_rejects_bad_root(tmp_path):
-    _corrupt(tmp_path, "root", lambda d: d.update(root_u=26))
-
-
-def test_load_rejects_size_mismatch(tmp_path):
-    _corrupt(tmp_path, "sizes", lambda d: d.update(sizes=[128, 0, 0, 0]))
-
-
-def test_load_rejects_assignment_out_of_range(tmp_path):
-    def mutate(d):
-        d["assignment"][0] = 4
-    _corrupt(tmp_path, "assign", mutate)
-
-
-def test_load_rejects_non_permutation_lut(tmp_path):
-    def mutate(d):
-        d["lut_pi"][0] = d["lut_pi"][1]
-    _corrupt(tmp_path, "lutdup", mutate)
-
-
-def test_load_rejects_reordered_lut(tmp_path):
-    def mutate(d):
-        d["lut_pi"][0], d["lut_pi"][1] = d["lut_pi"][1], d["lut_pi"][0]
-    _corrupt(tmp_path, "lutord", mutate)
-
-
-def test_load_rejects_negative_wwcss(tmp_path):
-    _corrupt(tmp_path, "wwcss", lambda d: d.update(final_wwcss=-1.0))

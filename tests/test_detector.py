@@ -702,6 +702,23 @@ def test_experiments_reject_negative_seeds_before_calibrating(monkeypatch):
                                    thresholds=thresholds)
 
 
+def test_repeated_engines_are_rejected_before_any_work(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("a calibration or trial chunk was run")
+
+    monkeypatch.setattr("pssdet.detector._chunked", reached)
+    c = EngineConfig("mf_opt", oversample=1)
+    engines = [c, EngineConfig("cluster", num_clusters=8), c]
+    match = "more than once: mf_opt_os1"
+    with pytest.raises(ValueError, match=match):
+        calibrate_thresholds(engines, trials=100, seed=0)
+    for thresholds in (None, {"mf_opt_os1": 6.0, "cluster_k8_os2": 6.0}):
+        with pytest.raises(ValueError, match=match):
+            pmd_experiment(engines, [-5.0], trials=4, thresholds=thresholds)
+        with pytest.raises(ValueError, match=match):
+            acquisition_experiment(engines, trials=4, thresholds=thresholds)
+
+
 @pytest.mark.parametrize("bad", [
     dict(snr_db=1e6), dict(snr_db=3070.0), dict(snr_db=np.nan),
     dict(fading="rayleigh_jakes"), dict(cfo_ppm=np.inf), dict(trials=0),
