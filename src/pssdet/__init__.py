@@ -3,7 +3,7 @@
 The package splits into five layers: reference waveform synthesis
 (:mod:`pssdet.pss`), k-means template quantization
 (:mod:`pssdet.clustering`), the three correlator engines, their
-configurations and exact operation accounting
+configurations and closed-form operation counts
 (:mod:`pssdet.correlator`), channel and capture
 simulation (:mod:`pssdet.channel`), and the detection pipeline with
 its Monte Carlo experiments (:mod:`pssdet.detector`).  The ``pssdet``
@@ -19,7 +19,6 @@ from .pss import (
     map_to_subcarriers,
     pss_time_domain,
     read_iq,
-    read_waveform_csv,
     write_iq,
     write_waveform_csv,
     zc_sequence,
@@ -32,7 +31,6 @@ from .clustering import (
 )
 from .correlator import (
     EngineConfig,
-    OpCount,
     bench_ops,
     cluster_correlate,
     mf_correlate,
@@ -70,7 +68,6 @@ __all__ = [
     "CONJUGATE_ROOT",
     "CP_LENGTH",
     "EngineConfig",
-    "OpCount",
     "PSS_ROOTS",
     "ZC_LENGTH",
     "BatchEvaluator",
@@ -95,7 +92,6 @@ __all__ = [
     "pss_time_domain",
     "read_iq",
     "read_stream",
-    "read_waveform_csv",
     "save_table",
     "wilson_ci",
     "write_iq",

@@ -1,4 +1,4 @@
-"""PSS correlation engines, their configurations and operation accounting.
+"""PSS correlation engines, their configurations and operation counts.
 
 An EngineConfig is the one description of a detector engine: its kind,
 its rate and, for the cluster correlator, K.  The three kinds produce
@@ -14,15 +14,11 @@ very different multiplier budgets per incoming sample:
   summed first and the K running sums are multiplied by the conjugate
   cluster means, K multiplications per root.
 
-Operation counters are booked per call from the hardware
-architecture's per-lag formulas (for example N complex multiplications
-per lag for the brute filter) times the lag count, not from how numpy
-happens to vectorize the arithmetic; bench_ops checks that they divide
-exactly into per-sample counts.  The brute-force tally books each
-magnitude-squared as one complex multiplication (and itemizes it again
-in real_ops), which reconciles the classical N+1 per-correlation count
-with the N multiplier-only count quoted per incoming sample; bench_ops
-does that subtraction.
+The reference correlators below compute each engine's metric the way
+its hardware would, and return only the metric.  The operation counts
+are the hardware's per-lag formulas, which do not depend on the input
+or on how numpy vectorizes the arithmetic, so bench_ops states them in
+closed form instead of counting them on a run.
 """
 
 from __future__ import annotations
@@ -32,15 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .clustering import ClusterTable, root_tables
-from .pss import PSS_ROOTS, PssWaveform, pss_time_domain
+from .clustering import ClusterTable
+from .pss import PssWaveform
 
 ENGINE_KINDS = ("mf_brute", "mf_opt", "cluster")
 LAG_MODES = ("circular", "sliding")
 ARCHITECTURES = ("lut_steering", "shift_register")
-# Lags bench_ops runs each engine over.  Its counts are normalized per
-# lag, so any lag count gives the same rows.
-PROBE_LAGS = 256
 
 
 @dataclass(frozen=True)
@@ -59,6 +52,9 @@ class EngineConfig:
         if self.kind == "cluster":
             if not self.num_clusters or self.num_clusters < 1:
                 raise ValueError("cluster engine needs num_clusters >= 1")
+            if self.num_clusters > self.size_n:
+                raise ValueError(f"num_clusters must lie in [1, {self.size_n}], "
+                                 f"got {self.num_clusters}")
         elif self.num_clusters is not None:
             raise ValueError(f"{self.kind} takes no num_clusters")
 
@@ -87,24 +83,6 @@ def distinct_engines(engines) -> tuple[EngineConfig, ...]:
     if repeated:
         raise ValueError(f"engines given more than once: {', '.join(repeated)}")
     return configs
-
-
-@dataclass
-class OpCount:
-    """Arithmetic-site counters for one correlator call."""
-
-    complex_mults: int = 0
-    complex_adds: int = 0
-    real_ops: int = 0
-    data_moves: int = 0
-
-    def __add__(self, other: "OpCount") -> "OpCount":
-        return OpCount(
-            self.complex_mults + other.complex_mults,
-            self.complex_adds + other.complex_adds,
-            self.real_ops + other.real_ops,
-            self.data_moves + other.data_moves,
-        )
 
 
 def _windows(r: np.ndarray, size_n: int, lag_mode: str) -> np.ndarray:
@@ -136,23 +114,10 @@ def _magnitude_sq(a: np.ndarray) -> np.ndarray:
 def mf_correlate(r: np.ndarray, s: PssWaveform, lag_mode: str = "sliding"):
     """Full matched filter of a buffer against one PSS body.
 
-    Returns (metric per lag, OpCount).  Per lag the counters book N
-    complex multiplications for the products, N-1 additions for the
-    sum, plus the magnitude-squared as one further complex
-    multiplication (itemized again in real_ops).
+    Returns the metric per lag.
     """
-    body = s.body
-    n = s.size_n
-    w = _windows(r, n, lag_mode)
-    lags = w.shape[0]
-    a = w @ np.conj(body)
-    values = _magnitude_sq(a)
-    ops = OpCount(
-        complex_mults=lags * n + lags,
-        complex_adds=lags * (n - 1),
-        real_ops=lags,
-    )
-    return values, ops
+    w = _windows(r, s.size_n, lag_mode)
+    return _magnitude_sq(w @ np.conj(s.body))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +134,7 @@ def mf_correlate_optimized(r: np.ndarray, waveforms, lag_mode: str = "sliding"):
     taken without conjugation, so only two distinct correlators pay for
     multiplications: N/2 + 1 each per lag.
 
-    Returns ((metric_25, metric_29, metric_34), OpCount).
+    Returns (metric_25, metric_29, metric_34).
     """
     roots = tuple(w.root for w in waveforms)
     if roots != (25, 29, 34):
@@ -193,85 +158,27 @@ def mf_correlate_optimized(r: np.ndarray, waveforms, lag_mode: str = "sliding"):
     b29 = waveforms[1].body[: half + 1]
     # conj(s_34) = s_29 exactly, so the third column reuses the root-29
     # coefficients unconjugated: those products come for free from the
-    # shared real parts and are not booked as extra multiplications.
+    # shared real parts and are not counted as extra multiplications.
     coef = np.stack([np.conj(b25), np.conj(b29), b29], axis=1)
-    a = folded @ coef
-    values = _magnitude_sq(a)
-
-    ops = OpCount(
-        complex_mults=lags * 2 * (half + 1),
-        complex_adds=lags * ((half - 1) + 3 * half),
-        real_ops=lags * 3,
-    )
-    return tuple(values.T), ops
+    return tuple(_magnitude_sq(folded @ coef).T)
 
 
 # ---------------------------------------------------------------------------
 # Cluster correlator.
 # ---------------------------------------------------------------------------
 
-def _cluster_sums_row(window: np.ndarray, lut, starts) -> np.ndarray:
-    return np.add.reduceat(window[lut], starts)
-
-
-def _dot_means(sums: np.ndarray, means: np.ndarray) -> np.ndarray:
-    # Fixed accumulation order, ascending cluster index.  BLAS is
-    # deliberately avoided here so both architectures add bit-identically.
-    a = sums[..., 0] * np.conj(means[0])
-    for k in range(1, len(means)):
-        a = a + sums[..., k] * np.conj(means[k])
-    return a
-
-
-def cluster_correlate(
-    r: np.ndarray,
-    table: ClusterTable,
-    lag_mode: str = "sliding",
-    architecture: str = "lut_steering",
-):
+def cluster_correlate(r: np.ndarray, table: ClusterTable, lag_mode: str = "sliding"):
     """Approximate matched filter from a cluster table.
 
     Per lag, the N input samples are accumulated into K per-cluster
-    sums (members taken in ascending LUT position) and the sums are
-    combined with the conjugate cluster means in ascending cluster
-    index.  The two architectures differ only in how samples reach the
-    accumulators: ``lut_steering`` reads the buffer in place through
-    the LUT (no data movement), ``shift_register`` shifts every sample
-    one slot per lag (N moves, booked in data_moves).  Their outputs
-    are bit-identical because the summation order is fixed.
+    sums through the LUT, which reads the buffer in place, and the sums
+    are combined with the conjugate cluster means.
 
-    Returns (metric per lag, OpCount).
+    Returns the metric per lag.
     """
-    if architecture not in ARCHITECTURES:
-        raise ValueError(
-            f"architecture must be one of {ARCHITECTURES}, got {architecture!r}"
-        )
-    n, k = table.size_n, table.num_clusters
-    lut = table.lut
-    starts = table.cluster_starts()
-    w = _windows(r, n, lag_mode)
-    lags = w.shape[0]
-
-    if architecture == "lut_steering":
-        sums = np.add.reduceat(w[:, lut], starts, axis=1)
-        a = _dot_means(sums, table.means)
-    else:
-        # One register pass per lag: the window is copied into the
-        # register (N data moves), then accumulated exactly as above.
-        a = np.empty(lags, dtype=complex)
-        for m in range(lags):
-            register = np.array(w[m], copy=True)
-            sums = _cluster_sums_row(register, lut, starts)
-            a[m] = _dot_means(sums, table.means)
-
-    values = _magnitude_sq(a)
-    ops = OpCount(
-        complex_mults=lags * k,
-        complex_adds=lags * ((n - k) + (k - 1)),
-        real_ops=lags,
-        data_moves=lags * n if architecture == "shift_register" else 0,
-    )
-    return values, ops
+    w = _windows(r, table.size_n, lag_mode)
+    sums = np.add.reduceat(w[:, table.lut], table.cluster_starts(), axis=1)
+    return _magnitude_sq(sums @ np.conj(table.means))
 
 
 # ---------------------------------------------------------------------------
@@ -279,48 +186,44 @@ def cluster_correlate(
 # ---------------------------------------------------------------------------
 
 def bench_ops(config: EngineConfig, architecture: str = "lut_steering") -> dict:
-    """Measure per-incoming-sample operation counts for one engine.
+    """Per-incoming-sample operation counts of one engine.
 
-    The engine runs on a deterministic noise probe and the counters are
-    normalized by the lag count.  Multiplications are reported per
-    distinct correlator: per root for the brute filter (magnitude
-    removed from the tally first) and for the cluster correlator, and
-    per conjugate-shared pair for the folded filter.  The divisions
-    must come out exact; a remainder means the counters are wrong.
-    Only the folded filter's adds, (2N - 1) / 2 per pair, are
-    fractional.
+    Each count is the engine's per-lag formula.  Multiplications are
+    per distinct correlator: per root for the brute filter and the
+    cluster correlator, and per conjugate-shared pair for the folded
+    filter.  The magnitude-squared is not counted for any engine.
+
+    * brute filter: N multiplications and N - 1 additions,
+    * folded filter: N/2 + 1 multiplications; the fold takes N/2 - 1
+      additions and each of the three roots N/2 to sum its products,
+      2N - 1 per lag for the pair, so (2N - 1)/2, the only fractional
+      count,
+    * cluster correlator: K multiplications, and N - K additions into
+      the cluster sums plus K - 1 to combine them.
+
+    ``architecture`` is how samples reach a cluster correlator's
+    accumulators: ``lut_steering`` reads the buffer in place,
+    ``shift_register`` shifts every sample one slot per lag, N data
+    moves.  The matched filters move no data either way.
     """
+    if architecture not in ARCHITECTURES:
+        raise ValueError(
+            f"architecture must be one of {ARCHITECTURES}, got {architecture!r}"
+        )
     n = config.size_n
-    rng = np.random.default_rng(0xBE2C + n)
-    probe = rng.standard_normal(n + PROBE_LAGS - 1) + 1j * rng.standard_normal(
-        n + PROBE_LAGS - 1
-    )
-    waveforms = tuple(pss_time_domain(u, n) for u in PSS_ROOTS)
     if config.kind == "mf_brute":
-        calls = [mf_correlate(probe, w) for w in waveforms]
+        cm, ca = n, n - 1
     elif config.kind == "mf_opt":
-        calls = [mf_correlate_optimized(probe, waveforms)]
+        cm, ca = n // 2 + 1, (2 * n - 1) / 2
     else:
-        calls = [cluster_correlate(probe, t, architecture=architecture)
-                 for t in root_tables(n, config.num_clusters)]
-    total = sum((ops for _, ops in calls), OpCount())
-    # Distinct correlators: the folded filter's roots 29 and 34 share one.
-    per = PROBE_LAGS * (2 if config.kind == "mf_opt" else 3)
-
-    mults = total.complex_mults
-    if config.kind == "mf_brute":
-        mults -= total.real_ops  # magnitudes out
-    cm, rem = divmod(mults, per)
-    moves, rem_moves = divmod(total.data_moves, per)
-    ca = total.complex_adds / per
-    if rem or rem_moves or not (ca.is_integer() or config.kind == "mf_opt"):
-        raise AssertionError(f"op counters not divisible by {per} lags")
+        cm, ca = config.num_clusters, n - 1
+    shifted = config.kind == "cluster" and architecture == "shift_register"
     return {
         "engine": config.kind,
         "N": n,
         "K": config.num_clusters,
         "oversampling": config.oversample,
         "cm_per_sample": cm,
-        "ca_per_sample": ca if config.kind == "mf_opt" else int(ca),
-        "data_moves": moves,
+        "ca_per_sample": ca,
+        "data_moves": n if shifted else 0,
     }

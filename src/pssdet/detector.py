@@ -19,12 +19,12 @@ once (:class:`BatchEvaluator`, also behind :func:`detect`).  FFT
 rounding differs from that of a direct sum of products by about 1e-15
 of the largest metric, so calibrated thresholds can differ from those
 of earlier versions, which multiplied a window matrix, in the last one
-or two digits.  Operation counts are booked only in
-:mod:`pssdet.correlator`, per architecture: brute, symmetry-folded
-with conjugate-root sharing, or K-term clustered accumulation.  Those
-architecture implementations are verified against these correlations
-in the tests; rerunning them per trial would only slow the Monte Carlo
-down without changing any decision.
+or two digits.  The per-engine operation counts are closed-form
+formulas in :func:`pssdet.correlator.bench_ops`, and the reference
+correlators there (brute, symmetry-folded with conjugate-root sharing,
+or K-term clustered accumulation) are verified against these
+correlations in the tests; rerunning them per trial would only slow
+the Monte Carlo down without changing any decision.
 
 Thresholds are constant-false-alarm: the (1 - Pfa) quantile of the
 per-attempt maximum metric over noise-only half frames, stored per

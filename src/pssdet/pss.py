@@ -197,16 +197,6 @@ def write_waveform_csv(path, samples: np.ndarray) -> None:
     write_text(path, buf.getvalue().encode("ascii"))
 
 
-def read_waveform_csv(path) -> np.ndarray:
-    """Read complex samples from a CSV written by write_waveform_csv."""
-    out = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            out.append(complex(float(row["re"]), float(row["im"])))
-    return np.asarray(out, dtype=complex)
-
-
 def write_iq(path, samples: np.ndarray) -> None:
     """Write raw IQ: little-endian float64, I and Q interleaved."""
     write_text(path, np.asarray(samples, dtype="<c16").tobytes())

@@ -72,8 +72,8 @@ def test_criterion_1_full_cluster_count_recovers_matched_filter():
     for _ in range(100):
         buf = noise_halfframe(rng, 128)
         for table, w in zip(tables, waveforms):
-            quant, _ = cluster_correlate(buf, table, "circular")
-            exact, _ = mf_correlate(buf, w, "circular")
+            quant = cluster_correlate(buf, table, "circular")
+            exact = mf_correlate(buf, w, "circular")
             err = np.max(np.abs(quant - exact))
             worst = max(worst, err / np.max(exact))
     elapsed = time.perf_counter() - start
@@ -92,9 +92,9 @@ def test_criterion_2_folded_filter_is_exact():
     worst = 0.0
     for _ in range(100):
         buf = noise_halfframe(rng, 400)
-        folded, _ = mf_correlate_optimized(buf, waveforms, "sliding")
+        folded = mf_correlate_optimized(buf, waveforms, "sliding")
         for trace, w in zip(folded, waveforms):
-            exact, _ = mf_correlate(buf, w, "sliding")
+            exact = mf_correlate(buf, w, "sliding")
             err = np.max(np.abs(trace - exact))
             worst = max(worst, err / np.max(exact))
     ok = worst <= 1e-12
@@ -149,7 +149,7 @@ def test_criterion_4_clustered_autocorrelation_margin():
         t29 = kmeans_cluster(pss_time_domain(29, 128).body, k, root=29)
         for u, table in ((25, t25), (29, t29), (34, conjugate_table(t29))):
             body = pss_time_domain(u, 128).body
-            v, _ = cluster_correlate(body, table, "circular")
+            v = cluster_correlate(body, table, "circular")
             dist = np.minimum(np.arange(128), 128 - np.arange(128))
             ratio = v[0] / v[dist >= 2].max()
             ok &= int(np.argmax(v)) == 0

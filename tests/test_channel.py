@@ -149,7 +149,7 @@ def test_timing_offset_places_burst():
     assert np.all(stream.samples[50 + 137:] == 0)
     np.testing.assert_allclose(stream.samples[50: 50 + 137], w.samples,
                                atol=1e-15)
-    trace, _ = mf_correlate(stream.samples, pss_time_domain(25, 128), "sliding")
+    trace = mf_correlate(stream.samples, pss_time_domain(25, 128), "sliding")
     assert int(np.argmax(trace)) == 50 + 9
     assert stream.pss_starts.tolist() == [50 + 9]
 

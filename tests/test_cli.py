@@ -14,7 +14,6 @@ from pssdet import (
     calibrate_thresholds,
     embed_pss_in_halfframe,
     pss_time_domain,
-    read_waveform_csv,
     write_stream,
 )
 from pssdet.cli import (
@@ -102,8 +101,9 @@ def test_gen_pss_csv(tmp_path, capsys):
     assert main(["gen-pss", "--root", "29", "--size-n", "64",
                  "--out", out]) == 0
     capsys.readouterr()
-    back = read_waveform_csv(out)
-    np.testing.assert_allclose(back, pss_time_domain(29, 64).samples,
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    np.testing.assert_allclose(rows[:, 1] + 1j * rows[:, 2],
+                               pss_time_domain(29, 64).samples,
                                atol=1e-15)
 
 
@@ -506,13 +506,30 @@ def test_acq_rejects_fewer_than_one_job(tmp_path, thresholds_file, capsys, jobs)
 # ---------------------------------------------------------------------------
 
 def test_bench_ops_command(tmp_path, capsys):
+    # The eight engines of acceptance criterion 3.  Every count is an int
+    # except the folded filter's adds, (2N - 1) / 2; comparing the text
+    # tells 127 from 127.0.
     out = str(tmp_path / "ops.json")
-    assert main(["bench-ops", "--engines", "mf_opt:os1,cluster:k8:os2",
-                 "--out", out]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert rows[0]["cm_per_sample"] == 33
-    assert rows[1]["cm_per_sample"] == 8
-    assert json.load(open(out)) == rows
+    engines = ("mf_brute:os1,mf_brute:os2,mf_opt:os1,mf_opt:os2,"
+               "cluster:k6:os2,cluster:k8:os2,cluster:k16:os2,cluster:k8:os1")
+    assert main(["bench-ops", "--engines", engines, "--out", out]) == 0
+
+    def row(engine, n, k, os_, cm, ca):
+        return {"engine": engine, "N": n, "K": k, "oversampling": os_,
+                "cm_per_sample": cm, "ca_per_sample": ca, "data_moves": 0}
+
+    expected = json.dumps([
+        row("mf_brute", 64, None, 1, 64, 63),
+        row("mf_brute", 128, None, 2, 128, 127),
+        row("mf_opt", 64, None, 1, 33, 63.5),
+        row("mf_opt", 128, None, 2, 65, 127.5),
+        row("cluster", 128, 6, 2, 6, 127),
+        row("cluster", 128, 8, 2, 8, 127),
+        row("cluster", 128, 16, 2, 16, 127),
+        row("cluster", 64, 8, 1, 8, 63),
+    ], indent=2)
+    assert capsys.readouterr().out == expected + "\n"
+    assert open(out).read() == expected + "\n"
 
 
 def test_bench_ops_matches_library():

@@ -1,11 +1,10 @@
-"""Correlator engines: metric agreement and op accounting."""
+"""Correlator engines: metric agreement and per-sample op counts."""
 
 import numpy as np
 import pytest
 
 from pssdet import (
     EngineConfig,
-    OpCount,
     bench_ops,
     cluster_correlate,
     kmeans_cluster,
@@ -56,7 +55,7 @@ def test_mf_peaks_at_embedded_offset(size_n):
     w = pss_time_domain(25, size_n)
     buf = np.zeros(3 * size_n, dtype=complex)
     buf[50: 50 + size_n] = w.body
-    trace, _ = mf_correlate(buf, w, "sliding")
+    trace = mf_correlate(buf, w, "sliding")
     assert int(np.argmax(trace)) == 50
     # Peak value is the squared body energy (Cauchy-Schwarz equality).
     energy = np.sum(np.abs(w.body) ** 2)
@@ -64,32 +63,26 @@ def test_mf_peaks_at_embedded_offset(size_n):
 
 
 def test_mf_circular_op_tally():
-    # One root over the N = 128 circular lags: N products plus the
-    # magnitude per lag gives N(N+1) = 16512 booked multiplications.
+    # Circular mode yields one lag per template sample.
     w = pss_time_domain(29, 128)
     rng = np.random.default_rng(0)
-    trace, ops = mf_correlate(_noise(rng, 128), w, "circular")
+    trace = mf_correlate(_noise(rng, 128), w, "circular")
     assert len(trace) == 128
-    assert ops.complex_mults == 128 * (128 + 1) == 16512
-    assert ops.complex_adds == 128 * 127
-    assert ops.real_ops == 128
-    assert ops.data_moves == 0
 
 
 def test_mf_sliding_lag_count():
     w = pss_time_domain(25, 64)
     rng = np.random.default_rng(1)
-    trace, ops = mf_correlate(_noise(rng, 200), w, "sliding")
+    trace = mf_correlate(_noise(rng, 200), w, "sliding")
     assert len(trace) == 200 - 64 + 1
-    assert ops.complex_mults == 137 * 65
 
 
 def test_mf_scale_covariance():
     w = pss_time_domain(34, 64)
     rng = np.random.default_rng(2)
     buf = _noise(rng, 150)
-    base, _ = mf_correlate(buf, w, "sliding")
-    scaled, _ = mf_correlate((2 - 1j) * buf, w, "sliding")
+    base = mf_correlate(buf, w, "sliding")
+    scaled = mf_correlate((2 - 1j) * buf, w, "sliding")
     np.testing.assert_allclose(scaled, abs(2 - 1j) ** 2 * base,
                                rtol=1e-12)
 
@@ -98,8 +91,8 @@ def test_mf_shift_covariance():
     w = pss_time_domain(25, 64)
     rng = np.random.default_rng(3)
     buf = _noise(rng, 200)
-    full, _ = mf_correlate(buf, w, "sliding")
-    shifted, _ = mf_correlate(buf[10:], w, "sliding")
+    full = mf_correlate(buf, w, "sliding")
+    shifted = mf_correlate(buf[10:], w, "sliding")
     np.testing.assert_array_equal(shifted, full[10:])
 
 
@@ -114,25 +107,21 @@ def test_optimized_matches_brute(size_n):
     worst = 0.0
     for _ in range(RNG_BUFFERS):
         buf = _noise(rng, size_n + 40)
-        traces, _ = mf_correlate_optimized(buf, waveforms, "sliding")
+        traces = mf_correlate_optimized(buf, waveforms, "sliding")
         for w, t in zip(waveforms, traces):
-            ref, _ = mf_correlate(buf, w, "sliding")
+            ref = mf_correlate(buf, w, "sliding")
             err = np.abs(t - ref).max() / ref.max()
             worst = max(worst, float(err))
     assert worst < 1e-12
 
 
 def test_optimized_op_tally():
-    # Two distinct correlators at N/2 + 1 multiplications per lag;
-    # roots 29 and 34 share products through conjugation.
+    # One trace per root, each over every sliding lag.
     waveforms = _waveforms(64)
     rng = np.random.default_rng(11)
-    traces, ops = mf_correlate_optimized(_noise(rng, 64 + 99), waveforms)
-    lags = len(traces[0])
-    assert lags == 100
-    assert ops.complex_mults == lags * 2 * 33
-    assert ops.complex_adds == lags * (31 + 3 * 32)
-    assert ops.real_ops == lags * 3
+    traces = mf_correlate_optimized(_noise(rng, 64 + 99), waveforms)
+    assert len(traces) == 3
+    assert all(len(t) == 100 for t in traces)
 
 
 def test_optimized_rejects_bad_root_sets():
@@ -154,58 +143,27 @@ def test_cluster_k_equals_n_matches_mf():
     rng = np.random.default_rng(20)
     for _ in range(10):
         buf = _noise(rng, 170)
-        got, _ = cluster_correlate(buf, table, "sliding")
-        ref, _ = mf_correlate(buf, w, "sliding")
+        got = cluster_correlate(buf, table, "sliding")
+        ref = mf_correlate(buf, w, "sliding")
         err = np.abs(got - ref).max() / ref.max()
         assert err < 1e-10
-
-
-def test_cluster_architectures_bit_identical():
-    w = pss_time_domain(29, 64)
-    table = kmeans_cluster(w.body, 8, root=29)
-    rng = np.random.default_rng(21)
-    for _ in range(100):
-        buf = _noise(rng, 64)
-        a, ops_a = cluster_correlate(buf, table, "circular", "lut_steering")
-        b, ops_b = cluster_correlate(buf, table, "circular", "shift_register")
-        np.testing.assert_array_equal(a, b)
-    assert ops_a.data_moves == 0
-    assert ops_b.data_moves == 64 * 64
-    assert ops_a.complex_mults == ops_b.complex_mults
 
 
 def test_cluster_op_tally():
     w = pss_time_domain(25, 128)
     table = kmeans_cluster(w.body, 16, root=25)
     rng = np.random.default_rng(22)
-    trace, ops = cluster_correlate(_noise(rng, 128 + 49), table)
-    lags = len(trace)
-    assert lags == 50
-    assert ops.complex_mults == lags * 16
-    assert ops.complex_adds == lags * ((128 - 16) + (16 - 1))
-    assert ops.real_ops == lags
+    trace = cluster_correlate(_noise(rng, 128 + 49), table)
+    assert len(trace) == 50
 
 
 def test_cluster_scale_covariance():
     table = kmeans_cluster(pss_time_domain(25, 64).body, 6, root=25)
     rng = np.random.default_rng(23)
     buf = _noise(rng, 100)
-    base, _ = cluster_correlate(buf, table)
-    scaled, _ = cluster_correlate(3j * buf, table)
+    base = cluster_correlate(buf, table)
+    scaled = cluster_correlate(3j * buf, table)
     np.testing.assert_allclose(scaled, 9 * base, rtol=1e-12)
-
-
-def test_cluster_rejects_unknown_architecture():
-    table = kmeans_cluster(pss_time_domain(25, 64).body, 4, root=25)
-    with pytest.raises(ValueError):
-        cluster_correlate(np.zeros(80, dtype=complex), table,
-                          architecture="systolic")
-
-
-def test_opcount_addition():
-    total = OpCount(1, 2, 3, 4) + OpCount(10, 20, 30, 40)
-    assert (total.complex_mults, total.complex_adds,
-            total.real_ops, total.data_moves) == (11, 22, 33, 44)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +180,10 @@ def test_bench_ops_matched_filters(oversample, brute_cm, opt_cm):
     assert opt["cm_per_sample"] == opt_cm
     # Folded adds per distinct correlator, (2N - 1) / 2, are fractional.
     assert opt["ca_per_sample"] == (2 * 64 * oversample - 1) / 2
+    # A matched filter moves no data under either architecture.
+    for config in (EngineConfig("mf_brute", oversample=oversample),
+                   EngineConfig("mf_opt", oversample=oversample)):
+        assert bench_ops(config, architecture="shift_register")["data_moves"] == 0
 
 
 @pytest.mark.parametrize("k", [6, 8, 16])
@@ -236,3 +198,13 @@ def test_bench_ops_cluster(k, oversample):
     shift = bench_ops(config, architecture="shift_register")
     assert shift["cm_per_sample"] == k
     assert shift["data_moves"] == n
+
+
+@pytest.mark.parametrize("config", [EngineConfig("mf_brute"),
+                                    EngineConfig("mf_opt"),
+                                    EngineConfig("cluster", num_clusters=8)],
+                         ids=lambda c: c.kind)
+def test_bench_ops_rejects_unknown_architecture(config):
+    with pytest.raises(ValueError, match="architecture"):
+        bench_ops(config, architecture="systolic")
+
