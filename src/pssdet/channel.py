@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
+import math
 import os
 
 import numpy as np
@@ -37,8 +38,16 @@ JAKES_RAYS = 16
 FADING_MODES = ("static", "rayleigh_block", "rayleigh_jakes")
 
 # Spawn-key purposes below a trial's seed (see keyed_rng): half frame i
-# draws from (HALF_FRAME, i), the Jakes rays of all of them from (JAKES,).
-HALF_FRAME, JAKES = 0, 1
+# draws its block gains and its burst region's noise from (HALF_FRAME, i)
+# and the noise of every other sample from (HALF_FRAME, i, REST); the
+# Jakes rays of all of them come from (JAKES,).
+HALF_FRAME, JAKES, REST = 0, 1, 2
+
+# Native samples of noise either side of the received burst in a half
+# frame's burst region.  The detector's tolerance windows reach up to
+# 9 samples past the end of a single-tap burst, so this must be at
+# least that.
+BURST_PAD = 16
 
 # COST 207 Typical Urban, 6 taps: (delay in microseconds, mean power in dB).
 TU6_DELAYS_US = (0.0, 0.2, 0.5, 1.6, 2.3, 5.0)
@@ -208,6 +217,63 @@ class _JakesProcess:
         ).sum(axis=1)
 
 
+def burst_region(w, scenario: ChannelScenario, *, half_frame: int = 0):
+    """(lo, region): native samples [lo, lo + len(region)) of half frame
+    ``half_frame``, exactly as embed_pss_in_halfframe synthesizes them.
+
+    The region runs from BURST_PAD samples before the timing offset,
+    rounded down to an even index so that every other sample keeps the
+    half frame's decimation phase, to BURST_PAD samples past the last
+    tap's copy of the burst, both clipped to the half frame.  Its
+    generator is keyed (HALF_FRAME, i) below scenario.seed and draws
+    the block-fading tap gains first, then the region's noise.
+    """
+    if half_frame < 0:
+        raise ValueError(f"half_frame must be non-negative, got {half_frame}")
+    sym = np.asarray(w.samples, dtype=complex)
+    theta = scenario.timing_offset
+    delays = scenario.delays
+    n_rx = len(sym) + int(delays[-1])
+    if theta + n_rx > HALF_FRAME_LEN:
+        raise ValueError(
+            f"timing_offset {theta} leaves no room for the symbol in a "
+            f"{HALF_FRAME_LEN}-sample half frame"
+        )
+    lo = max(theta - BURST_PAD, 0) // 2 * 2
+    hi = min(theta + n_rx + BURST_PAD, HALF_FRAME_LEN)
+    rng = keyed_rng(scenario.seed, HALF_FRAME, half_frame)
+
+    # One burst of n_rx samples: the taps' gains times the burst,
+    # summed, then one CFO ramp.
+    first = half_frame * HALF_FRAME_LEN + theta
+    idx = np.arange(first, first + n_rx)
+    if scenario.fading == "rayleigh_jakes":
+        rays = keyed_rng(scenario.seed, JAKES)
+        gains = [
+            _JakesProcess(p, scenario.doppler_hz, rays).at(idx[d: d + len(sym)])
+            for p, d in zip(scenario.linear_powers, delays)
+        ]
+    else:
+        gains = _tap_gains(scenario, rng, len(delays))
+
+    if not np.isfinite(scenario.snr_db):
+        region = np.zeros(hi - lo, dtype=complex)
+        amp = 1.0
+    else:
+        region = fill_floor_noise(rng, np.empty(hi - lo, dtype=complex),
+                                  np.empty(2 * (hi - lo)))
+        body_power = float(np.mean(np.abs(w.body) ** 2))
+        amp = math.sqrt(10.0 ** (scenario.snr_db / 10.0) * NOISE_FLOOR_VARIANCE / body_power)
+    burst = amp * sym
+    rx = np.zeros(n_rx, dtype=complex)
+    for gain, d in zip(gains, delays):
+        rx[d: d + len(burst)] += gain * burst
+    if scenario.cfo_hz:
+        rx *= np.exp(2j * np.pi * scenario.cfo_hz * idx / SAMPLE_RATE_HZ)
+    region[theta - lo: theta - lo + n_rx] += rx
+    return lo, region
+
+
 def embed_pss_in_halfframe(w, scenario: ChannelScenario, *, half_frame: int = 0) -> RxStream:
     """Synthesize half frame ``half_frame`` of a trial: HALF_FRAME_LEN
     samples with one PSS burst.
@@ -217,61 +283,29 @@ def embed_pss_in_halfframe(w, scenario: ChannelScenario, *, half_frame: int = 0)
     10^(snr_db / 10) * floor.  Half frame i covers the trial's absolute
     samples [i * HALF_FRAME_LEN, (i + 1) * HALF_FRAME_LEN); the CFO ramp
     and Jakes fading run on those absolute indices, so consecutive half
-    frames are continuous.  Its generator is keyed (HALF_FRAME, i) below
-    scenario.seed and draws the noise first, then the block-fading tap
-    gains; the Jakes rays are drawn from the key (JAKES,), the same for
-    every half frame of the trial.  The reported pss_starts holds the
-    symbol body position (after the cyclic prefix) within the half
-    frame.
+    frames are continuous.  The samples around the burst are
+    burst_region's, drawn from the key (HALF_FRAME, i) below
+    scenario.seed; the noise of every other sample comes from
+    (HALF_FRAME, i, REST), in sample order, and the Jakes rays from
+    (JAKES,), the same for every half frame of the trial.  The reported
+    pss_starts holds the symbol body position (after the cyclic prefix)
+    within the half frame.
     """
-    if half_frame < 0:
-        raise ValueError(f"half_frame must be non-negative, got {half_frame}")
-    sym = np.asarray(w.samples, dtype=complex)
-    theta = scenario.timing_offset
-    max_delay = int(scenario.delays.max())
-    if theta + len(sym) + max_delay > HALF_FRAME_LEN:
-        raise ValueError(
-            f"timing_offset {theta} leaves no room for the symbol in a "
-            f"{HALF_FRAME_LEN}-sample half frame"
-        )
-    rng = keyed_rng(scenario.seed, HALF_FRAME, half_frame)
-
-    if not np.isfinite(scenario.snr_db):
-        stream = np.zeros(HALF_FRAME_LEN, dtype=complex)
-        amp = 1.0
-    else:
-        stream = fill_floor_noise(rng, np.empty(HALF_FRAME_LEN, dtype=complex),
-                                  np.empty(2 * HALF_FRAME_LEN))
-        body_power = float(np.mean(np.abs(w.body) ** 2))
-        amp = float(
-            np.sqrt(10.0 ** (scenario.snr_db / 10.0) * NOISE_FLOOR_VARIANCE / body_power)
-        )
-
-    # One burst of len(sym) + max_delay samples: the taps' gains times
-    # the burst, summed, then one CFO ramp.
-    burst = amp * sym
-    n_rx = len(burst) + max_delay
-    idx = np.arange(n_rx) + half_frame * HALF_FRAME_LEN + theta
-    if scenario.fading == "rayleigh_jakes":
-        rays = keyed_rng(scenario.seed, JAKES)
-        gains = [
-            _JakesProcess(p, scenario.doppler_hz, rays).at(idx[d: d + len(burst)])
-            for p, d in zip(scenario.linear_powers, scenario.delays)
-        ]
-    else:
-        gains = _tap_gains(scenario, rng, len(scenario.taps))
-    rx = np.zeros(n_rx, dtype=complex)
-    for gain, d in zip(gains, scenario.delays):
-        rx[d: d + len(burst)] += gain * burst
-    if scenario.cfo_hz:
-        rx *= np.exp(2j * np.pi * scenario.cfo_hz * idx / SAMPLE_RATE_HZ)
-    stream[theta: theta + n_rx] += rx
-
+    lo, region = burst_region(w, scenario, half_frame=half_frame)
+    hi = lo + len(region)
+    n_rest = HALF_FRAME_LEN - len(region)
+    samples = np.zeros(HALF_FRAME_LEN, dtype=complex)
+    if np.isfinite(scenario.snr_db):
+        rest = fill_floor_noise(keyed_rng(scenario.seed, HALF_FRAME, half_frame, REST),
+                                np.empty(n_rest, dtype=complex), np.empty(2 * n_rest))
+        samples[:lo] = rest[:lo]
+        samples[hi:] = rest[lo:]
+    samples[lo:hi] = region
     return RxStream(
-        samples=stream,
+        samples=samples,
         sample_rate_hz=SAMPLE_RATE_HZ,
         true_root=w.root,
-        pss_starts=np.array([theta + w.cp_len], dtype=np.int64),
+        pss_starts=np.array([scenario.timing_offset + w.cp_len], dtype=np.int64),
     )
 
 

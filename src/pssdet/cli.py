@@ -266,7 +266,7 @@ def cmd_cluster(args) -> int:
         f"table_u{root}_n{resolved['size_n']}_k{resolved['clusters']}.json",
     )
     save_table(table, out)
-    print(f"wrote {out} (wwcss {table.final_wwcss!r}, "
+    print(f"wrote {out} (wcss {table.final_wcss!r}, "
           f"converged {table.converged})")
     return 0
 

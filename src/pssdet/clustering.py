@@ -24,7 +24,7 @@ import numpy as np
 
 from .pss import CONJUGATE_ROOT, PSS_ROOTS, pss_time_domain, write_text
 
-TABLE_SCHEMA_VERSION = 2
+TABLE_SCHEMA_VERSION = 3
 DEFAULT_MAX_ITERS = 100
 
 
@@ -35,7 +35,7 @@ class ClusterTable:
     ``lut`` is the steering permutation: the member positions of
     cluster 0 in ascending order, then cluster 1, and so on, so entries
     at offsets sum(sizes[:k]) .. sum(sizes[:k+1])-1 list the template
-    indices n with assignment[n] == k.  ``wwcss_history`` records the
+    indices n with assignment[n] == k.  ``wcss_history`` records the
     within-cluster sum of squares after each Lloyd iteration;
     it is diagnostic only and is not serialized.
     """
@@ -47,9 +47,9 @@ class ClusterTable:
     sizes: np.ndarray
     assignment: np.ndarray
     lut: np.ndarray
-    final_wwcss: float
+    final_wcss: float
     converged: bool
-    wwcss_history: tuple = field(default=(), compare=False)
+    wcss_history: tuple = field(default=(), compare=False)
 
     def cluster_starts(self) -> np.ndarray:
         """Offsets of each cluster's first entry inside ``lut``."""
@@ -60,7 +60,7 @@ class ClusterTable:
         return self.means[self.assignment]
 
 
-def _wwcss(samples, means, assignment) -> float:
+def _wcss(samples, means, assignment) -> float:
     return float(np.sum(np.abs(samples - means[assignment]) ** 2))
 
 
@@ -124,7 +124,7 @@ def _lloyd(samples, initial_means):
         assignment = new
         for j in range(k):
             means[j] = np.mean(samples[assignment == j])
-        history.append(_wwcss(samples, means, assignment))
+        history.append(_wcss(samples, means, assignment))
     return means, assignment, history, converged
 
 
@@ -174,9 +174,9 @@ def kmeans_cluster(
         sizes=sizes,
         assignment=assignment.astype(np.int64),
         lut=lut,
-        final_wwcss=history[-1],
+        final_wcss=history[-1],
         converged=converged,
-        wwcss_history=tuple(history),
+        wcss_history=tuple(history),
     )
     for arr in (table.means, table.sizes, table.assignment, table.lut):
         arr.setflags(write=False)
@@ -187,7 +187,7 @@ def conjugate_table(table: ClusterTable) -> ClusterTable:
     """Derive the conjugate root's table without re-clustering.
 
     Conjugating every sample conjugates the means and leaves distances,
-    and therefore the partition and the WWCSS, exactly unchanged.  Only
+    and therefore the partition and the WCSS, exactly unchanged.  Only
     the root pair (29, 34) is wired; root 25 has no conjugate partner
     in the PSS set and is rejected.
     """
@@ -206,9 +206,9 @@ def conjugate_table(table: ClusterTable) -> ClusterTable:
         sizes=table.sizes,
         assignment=table.assignment,
         lut=table.lut,
-        final_wwcss=table.final_wwcss,
+        final_wcss=table.final_wcss,
         converged=table.converged,
-        wwcss_history=table.wwcss_history,
+        wcss_history=table.wcss_history,
     )
 
 
@@ -235,7 +235,7 @@ def save_table(table: ClusterTable, path) -> None:
         "sizes": [int(s) for s in table.sizes],
         "lut_pi": [int(i) for i in table.lut],
         "assignment": [int(a) for a in table.assignment],
-        "final_wwcss": float(table.final_wwcss),
+        "final_wcss": float(table.final_wcss),
         "converged": bool(table.converged),
     }
     write_text(path, json.dumps(doc, indent=2) + "\n")

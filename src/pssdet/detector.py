@@ -43,19 +43,26 @@ reads that window by direct inner products
 and skips the pass when every engine still searching stays at or
 below threshold * (1 - GATE_MARGIN).  GATE_MARGIN = 1e-9 is six orders
 wider than the FFT/direct rounding gap, so the gate never skips a half
-frame the full pass would have scored, and outputs do not change.
+frame the full pass would have scored, and outputs do not change.  The
+gate reads only the half frame's burst region (channel.burst_region),
+so the rest of a half frame is synthesized only when the gate passes.
 
 Each experiment builds one ChannelScenario per SNR point, which
 validates it before any calibration; every trial is a copy of it made
 with dataclasses.replace, differing only in timing offset and seed,
-and the trial loop synthesizes each half frame it visits by index.
+and the trial loop synthesizes each half frame it visits by index:
+its burst region always, the rest only when the gate passes.
 
 Every generator of a run comes from one rule:
 default_rng(SeedSequence(seed, spawn_key=(purpose, ...))).
 Calibration trial t uses (CALIBRATION, t).  Trial t of experiment
 point p uses (TRIALS, p, t) for its timing offset; its half frame i
-draws noise and block gains from (TRIALS, p, t, HALF_FRAME, i), and
-its Jakes rays come from (TRIALS, p, t, JAKES).  Distinct seeds or
+draws its block gains and then the noise of its burst region from
+(TRIALS, p, t, HALF_FRAME, i) and the noise of every other sample from
+(TRIALS, p, t, HALF_FRAME, i, REST), and its Jakes rays come from
+(TRIALS, p, t, JAKES).  Both half-frame keys depend only on the trial
+and the index, so a gated-out half frame, which never builds its REST
+key, leaves every other draw as it is.  Distinct seeds or
 keys give independent streams, as SeedSequence.spawn children do, so
 runs at nearby seeds share no trials, and each trial depends only on
 its own key, whatever the job count.  Seeds must be non-negative.
@@ -77,6 +84,7 @@ from .channel import (
     SAMPLE_RATE_HZ,
     ChannelScenario,
     RxStream,
+    burst_region,
     embed_pss_in_halfframe,
 )
 from .clustering import root_tables
@@ -408,15 +416,19 @@ def _trial_chunk(start, stop, payload):
     """Per trial and engine: the 1-based half frame of the first correct
     detection, or 0 if none came within max_hf half frames.
 
-    The loop synthesizes only the half frames it visits, each from its
-    own key, so the random draws do not depend on what is scored.
-    Before the full overlap-save pass, a gate reads the true root's
-    metric over each engine's tolerance window around the true start
+    The loop visits half frames in order and synthesizes each one's
+    burst region (``burst_region``), from its own key.  A gate reads
+    the true root's metric over each engine's tolerance window around
+    the true start, which lies inside that region
     (``BatchEvaluator.window_peaks``).  A correct detection is a global
     maximum on the true root, inside that window and above the
     threshold, so an engine whose window maximum is at most
     ``threshold * (1 - GATE_MARGIN)`` cannot score here; when that holds
-    for every engine still searching, the pass is skipped.
+    for every engine still searching, the pass is skipped and the
+    rest of the half frame is never drawn.  Otherwise
+    ``embed_pss_in_halfframe`` synthesizes the whole half frame, the
+    region again and the rest from its own key, so the random draws
+    do not depend on what is scored.
     """
     configs, thresholds, point, seed, p, max_hf = payload
     batch = _cached_batch(configs)
@@ -427,14 +439,16 @@ def _trial_chunk(start, stop, payload):
     for t in range(start, stop):
         trial = np.random.SeedSequence(seed, spawn_key=(TRIALS, p, t))
         scen = _trial_scenario(trial, point, len(tx.samples))
+        body = scen.timing_offset + tx.cp_len
         done = [0] * len(configs)
         for i in range(max_hf):
             if all(done):
                 break
-            stream = embed_pss_in_halfframe(tx, scen, half_frame=i)
-            near = batch.window_peaks(stream.samples, stream.pss_starts[0], root_idx)
+            lo, region = burst_region(tx, scen, half_frame=i)
+            near = batch.window_peaks(region, body - lo, root_idx)
             if all(d or v <= g for d, v, g in zip(done, near, gates)):
                 continue
+            stream = embed_pss_in_halfframe(tx, scen, half_frame=i)
             peaks = batch.peaks(stream.samples)
             for e, config in enumerate(configs):
                 if not done[e] and _score(peaks[e], config, thresholds[e], stream):

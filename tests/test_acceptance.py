@@ -253,7 +253,7 @@ def test_criterion_8_clustering_convergence():
     for k in (6, 8, 16):
         for u in (25, 29):
             table = kmeans_cluster(pss_time_domain(u, 128).body, k, root=u)
-            hist = np.array(table.wwcss_history)
+            hist = np.array(table.wcss_history)
             ok &= bool(np.all(np.diff(hist) <= 1e-12))
             ok &= table.converged
             # Fixed point: means are member means, assignments are the
@@ -266,11 +266,11 @@ def test_criterion_8_clustering_convergence():
             ok &= bool(np.array_equal(np.argmin(d, axis=1), table.assignment))
             report.append(f"K{k}/u{u}:{len(hist)}it")
     exact = kmeans_cluster(pss_time_domain(25, 128).body, 128, root=25)
-    ok &= exact.final_wwcss == 0.0
+    ok &= exact.final_wcss == 0.0
     record_criterion(
         f"{'PASS' if ok else 'FAIL'} criterion 8: clustering distortion "
         f"non-increasing to a fixed point ({', '.join(report)}); "
-        f"K=N distortion {exact.final_wwcss}"
+        f"K=N distortion {exact.final_wcss}"
     )
     assert ok
 

@@ -17,9 +17,11 @@ from pssdet import (
     write_stream,
 )
 from pssdet.channel import (
+    BURST_PAD,
     HALF_FRAME,
     JAKES,
     NOISE_FLOOR_VARIANCE,
+    REST,
     SAMPLE_RATE_HZ,
     TU6_DELAYS_US,
     TU6_POWERS_DB,
@@ -273,11 +275,18 @@ def test_embed_signal_amplitude_tracks_snr():
     snr_db = 6.0
     sc = ChannelScenario(snr_db=snr_db, timing_offset=200, seed=21)
     stream = embed_pss_in_halfframe(w, sc)
-    # Remove the exact same noise realization the embed drew, from
-    # half frame 0's key.
-    rng = _keyed(21, HALF_FRAME, 0)
-    noise = rng.standard_normal(9600) + 1j * rng.standard_normal(9600)
-    noise = np.sqrt(NOISE_FLOOR_VARIANCE / 2.0) * noise
+    # Remove the exact same noise realization the embed drew: the burst
+    # region [lo, hi) from half frame 0's key (a static channel draws
+    # no gains first), every other sample from its REST key.
+    lo, hi = (200 - BURST_PAD) // 2 * 2, 200 + 137 + BURST_PAD
+
+    def floor(key, n):
+        rng = _keyed(21, *key)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return np.sqrt(NOISE_FLOOR_VARIANCE / 2.0) * z
+
+    rest = floor((HALF_FRAME, 0, REST), 9600 - (hi - lo))
+    noise = np.concatenate([rest[:lo], floor((HALF_FRAME, 0), hi - lo), rest[lo:]])
     sig = stream.samples - noise
     body = sig[200 + 9: 200 + 9 + 128]
     measured = np.mean(np.abs(body) ** 2) / NOISE_FLOOR_VARIANCE

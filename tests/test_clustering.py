@@ -1,6 +1,6 @@
 """Clustering invariants: Lloyd behavior, conjugation, serialization.
 
-WWCSS oracle values were computed by running the deterministic
+WCSS oracle values were computed by running the deterministic
 clustering once and freezing the results; the random-partition
 baseline is recomputed inline from a fixed seed.
 """
@@ -16,11 +16,11 @@ from pssdet import (
     pss_time_domain,
     save_table,
 )
-from pssdet.clustering import TABLE_SCHEMA_VERSION, _wwcss, root_tables
+from pssdet.clustering import TABLE_SCHEMA_VERSION, _wcss, root_tables
 
 # Deterministic farthest-point Lloyd results on the 128-sample bodies.
 # Frozen from a reference run; regenerating must reproduce them.
-EXPECTED_WWCSS = {
+EXPECTED_WCSS = {
     (25, 6): 0.075581397,
     (25, 8): 0.041833116,
     (25, 16): 0.016106038,
@@ -38,24 +38,24 @@ def _body(u, n=128):
 # Lloyd iteration behavior.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(("u", "k"), sorted(EXPECTED_WWCSS))
+@pytest.mark.parametrize(("u", "k"), sorted(EXPECTED_WCSS))
 def test_wwcss_reaches_frozen_value(u, k):
     t = kmeans_cluster(_body(u), k, root=u)
     assert t.converged
-    assert abs(t.final_wwcss - EXPECTED_WWCSS[(u, k)]) < 1e-8
+    assert abs(t.final_wcss - EXPECTED_WCSS[(u, k)]) < 1e-8
 
 
-@pytest.mark.parametrize(("u", "k"), sorted(EXPECTED_WWCSS))
+@pytest.mark.parametrize(("u", "k"), sorted(EXPECTED_WCSS))
 def test_wwcss_monotone_non_increasing(u, k):
     t = kmeans_cluster(_body(u), k, root=u)
-    hist = t.wwcss_history
+    hist = t.wcss_history
     assert len(hist) >= 1
     for prev, cur in zip(hist, hist[1:]):
         assert cur <= prev + 1e-15
-    assert t.final_wwcss == hist[-1]
+    assert t.final_wcss == hist[-1]
 
 
-@pytest.mark.parametrize(("u", "k"), sorted(EXPECTED_WWCSS))
+@pytest.mark.parametrize(("u", "k"), sorted(EXPECTED_WCSS))
 def test_converged_tables_are_fixed_points(u, k):
     body = _body(u)
     t = kmeans_cluster(body, k, root=u)
@@ -74,7 +74,7 @@ def test_k1_collapses_to_sample_mean():
     t = kmeans_cluster(body, 1, root=25)
     np.testing.assert_allclose(t.means[0], body.mean(), atol=1e-15)
     # Zero-mean template, so the objective equals the body energy.
-    assert abs(t.final_wwcss - 62 / 128) < 1e-12
+    assert abs(t.final_wcss - 62 / 128) < 1e-12
     assert t.sizes.tolist() == [128]
 
 
@@ -82,7 +82,7 @@ def test_k_equals_n_is_exact():
     body = _body(25)
     t = kmeans_cluster(body, 128, root=25)
     assert t.converged
-    assert t.final_wwcss == 0.0
+    assert t.final_wcss == 0.0
     np.testing.assert_array_equal(np.sort(t.assignment), np.arange(128))
     np.testing.assert_allclose(t.quantized_template(), body, atol=1e-15)
 
@@ -101,9 +101,9 @@ def test_beats_random_partitions():
             if len(np.unique(a)) == k:
                 break
         means = np.asarray([body[a == j].mean() for j in range(k)])
-        best = min(best, _wwcss(body, means, a))
+        best = min(best, _wcss(body, means, a))
     t = kmeans_cluster(body, k, root=25)
-    assert t.final_wwcss < 0.25 * best
+    assert t.final_wcss < 0.25 * best
 
 
 def test_clustering_is_deterministic():
@@ -111,7 +111,7 @@ def test_clustering_is_deterministic():
     b = kmeans_cluster(_body(29), 8, root=29)
     np.testing.assert_array_equal(a.means, b.means)
     np.testing.assert_array_equal(a.assignment, b.assignment)
-    assert a.final_wwcss == b.final_wwcss
+    assert a.final_wcss == b.final_wcss
 
 
 def test_symmetric_samples_share_clusters():
@@ -162,7 +162,7 @@ def test_conjugate_table_matches_direct_clustering():
     np.testing.assert_array_equal(t34.means, np.conj(t29.means))
     np.testing.assert_array_equal(t34.assignment, t29.assignment)
     np.testing.assert_array_equal(t34.lut, t29.lut)
-    assert t34.final_wwcss == t29.final_wwcss
+    assert t34.final_wcss == t29.final_wcss
     # Round trip back.
     back = conjugate_table(t34)
     assert back.root == 29
@@ -200,7 +200,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "table.json"
     save_table(t, path)
     doc = json.loads(path.read_text())
-    assert doc["schema_version"] == TABLE_SCHEMA_VERSION == 2
+    assert doc["schema_version"] == TABLE_SCHEMA_VERSION == 3
     assert "weights" not in doc
     assert doc["root_u"] == 25
     assert doc["N"] == 128 and doc["K"] == 8
@@ -209,7 +209,7 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(doc["assignment"], t.assignment)
     np.testing.assert_array_equal(doc["lut_pi"], t.lut)
     np.testing.assert_array_equal(doc["sizes"], t.sizes)
-    assert doc["final_wwcss"] == t.final_wwcss
+    assert doc["final_wcss"] == t.final_wcss
     assert doc["converged"] == t.converged
 
 

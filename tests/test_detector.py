@@ -42,15 +42,18 @@ from pssdet.detector import (
     _trial_scenario,
     engine_coefficients,
 )
+from pssdet import channel as ch
 from pssdet.pss import PSS_ROOTS
 from pssdet.channel import (
     HALF_FRAME,
     HALF_FRAME_LEN,
     JAKES,
+    REST,
     HALF_FRAME_SEC,
     NOISE_FLOOR_VARIANCE,
     TU6_TAPS,
     RxStream,
+    burst_region,
 )
 
 
@@ -381,6 +384,60 @@ def test_gate_at_threshold_boundary(ulps_below):
     np.testing.assert_array_equal(first, [[ulps_below] * len(MIXED)])
 
 
+
+@pytest.mark.parametrize("taps", [((0, 0.0),), TU6_TAPS], ids=["static", "tu6"])
+@pytest.mark.parametrize("theta", [0, 1, 2, 7, 9, 4321, "last"])
+def test_gate_reads_only_the_burst_region(taps, theta):
+    # The trial loop gates on burst_region's samples alone, so they must
+    # be the full half frame's, at a lo that keeps the os1 decimation
+    # phase, and cover every sample each rate group's window reads.
+    max_delay = taps[-1][0]
+    if theta == "last":
+        theta = HALF_FRAME_LEN - 137 - max_delay
+    tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
+    batch = BatchEvaluator(MIXED)
+    fading = "static" if len(taps) == 1 else "rayleigh_block"
+    scen = ChannelScenario(taps=taps, fading=fading, snr_db=-5.0, cfo_ppm=5.0,
+                           timing_offset=theta, seed=8)
+    start = theta + tx.cp_len
+    for i in range(2):
+        lo, region = burst_region(tx, scen, half_frame=i)
+        full = embed_pss_in_halfframe(tx, scen, half_frame=i).samples
+        np.testing.assert_array_equal(region, full[lo:lo + len(region)])
+        outside = full.copy()
+        outside[:lo] = outside[lo + len(region):] = np.nan
+        for root_idx in range(3):
+            want = batch.window_peaks(full, start, root_idx)
+            assert np.array_equal(
+                batch.window_peaks(region, start - lo, root_idx), want)
+            assert np.array_equal(
+                batch.window_peaks(outside, start, root_idx), want)
+
+
+def test_gated_out_half_frames_never_draw_their_rest_noise(monkeypatch,
+                                                           mixed_thresholds):
+    point = _channel_point("rayleigh_block", 5.0, -5.0)
+    payload = (MIXED, mixed_thresholds, point, 16, 0, 30)
+    log = []
+    keyed = ch.keyed_rng
+    monkeypatch.setattr(ch, "keyed_rng",
+                        lambda seed, *key: log.append(key) or keyed(seed, *key))
+    peaks = BatchEvaluator.peaks
+    monkeypatch.setattr(BatchEvaluator, "peaks",
+                        lambda self, x: log.append("pass") or peaks(self, x))
+    _trial_chunk(0, 4, payload)
+    passes = log.count("pass")
+    rest = [k for k, key in enumerate(log) if key[2:] == (REST,)]
+    # Every REST generator is built by the embed of a half frame that
+    # then gets the full pass.  The region key is built once per visited
+    # half frame and once more by each embed, and most visited half
+    # frames never get the pass.
+    assert all(log[k + 1] == "pass" for k in rest)
+    assert len(rest) == passes
+    regions = sum(1 for key in log if len(key) == 2 and key[0] == HALF_FRAME)
+    assert passes < (regions - passes) / 2
+
+
 # ---------------------------------------------------------------------------
 # Detection decisions.
 # ---------------------------------------------------------------------------
@@ -487,6 +544,8 @@ def test_generator_keys_are_distinct():
         "point 0 trial 3": (1, (TRIALS, 0, 3)),
         "its half frame 0": (1, (TRIALS, 0, 3, HALF_FRAME, 0)),
         "its half frame 1": (1, (TRIALS, 0, 3, HALF_FRAME, 1)),
+        "the rest of its half frame 0": (1, (TRIALS, 0, 3, HALF_FRAME, 0, REST)),
+        "the rest of its half frame 1": (1, (TRIALS, 0, 3, HALF_FRAME, 1, REST)),
         "its Jakes rays": (1, (TRIALS, 0, 3, JAKES)),
         "point 1 trial 3": (1, (TRIALS, 1, 3)),
         "seed 2 calibration trial 3": (2, (CALIBRATION, 3)),
@@ -669,13 +728,18 @@ def test_self_calibration_equals_calibrate_at_the_same_seed(monkeypatch):
 
 
 def test_jakes_acquisition_synthesizes_only_visited_half_frames(monkeypatch):
-    counted = []
+    regions, counted = [], []
+
+    def region(*args, **kwargs):
+        regions.append(kwargs["half_frame"])
+        return burst_region(*args, **kwargs)
 
     def counting(*args, **kwargs):
         stream = embed_pss_in_halfframe(*args, **kwargs)
         counted.append(len(stream.samples))
         return stream
 
+    monkeypatch.setattr("pssdet.detector.burst_region", region)
     monkeypatch.setattr("pssdet.detector.embed_pss_in_halfframe", counting)
     cap = 200
     results = acquisition_experiment(
@@ -685,7 +749,11 @@ def test_jakes_acquisition_synthesizes_only_visited_half_frames(monkeypatch):
     visited = sum(max(r.half_frames for r in results if r.trial == t)
                   for t in range(4))
     assert visited < 4 * cap
-    assert sum(counted) == HALF_FRAME_LEN * visited
+    # Every visited half frame synthesizes its burst region; only those
+    # the gate passes synthesize in full.
+    assert len(regions) == visited
+    assert len(counted) <= visited
+    assert sum(counted) == HALF_FRAME_LEN * len(counted)
 
 
 def test_experiments_reject_negative_seeds_before_calibrating(monkeypatch):
