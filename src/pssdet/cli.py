@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -148,7 +149,10 @@ def _number(value) -> bool:
 
 
 def _table(value) -> bool:
-    return isinstance(value, dict) and all(map(_number, value.values()))
+    """A thresholds table, from a config or a --thresholds file: numbers
+    other than NaN; +inf (never detect) is allowed."""
+    return isinstance(value, dict) and all(
+        _number(v) and not math.isnan(v) for v in value.values())
 
 
 def _fits(value, default) -> bool:
@@ -228,6 +232,9 @@ def _load_thresholds(resolved, configs):
                 table = json.load(f)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read thresholds {table}: {exc}") from exc
+        if not _table(table):
+            raise CliError(f"thresholds {resolved['thresholds']} must map "
+                           "engine keys to numbers other than NaN")
     missing = [c.key for c in configs if c.key not in table]
     if missing:
         raise CliError(f"thresholds lack engines: {', '.join(missing)}")
@@ -327,9 +334,11 @@ def cmd_pmd(args) -> int:
         cfo_ppm=resolved["ppm"], jobs=resolved["jobs"], verbose=True,
     )
     out_dir = resolved["output_dir"]
+    by_key = {c.key: c for c in configs}
     rows = [
-        [p.snr_db, p.engine_key, p.num_clusters if p.num_clusters else 0,
-         p.oversample, p.trials, p.misses, p.pmd, p.ci_lo, p.ci_hi]
+        [p.snr_db, p.engine_key, by_key[p.engine_key].num_clusters or 0,
+         by_key[p.engine_key].oversample, p.trials, p.misses, p.pmd, p.ci_lo,
+         p.ci_hi]
         for p in points
     ]
     _write_csv(

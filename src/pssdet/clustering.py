@@ -17,6 +17,7 @@ the one source of the tables every engine and ``pssdet cluster`` use.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -198,18 +199,8 @@ def conjugate_table(table: ClusterTable) -> ClusterTable:
         )
     means = np.conj(table.means)
     means.setflags(write=False)
-    return ClusterTable(
-        root=CONJUGATE_ROOT[table.root],
-        size_n=table.size_n,
-        num_clusters=table.num_clusters,
-        means=means,
-        sizes=table.sizes,
-        assignment=table.assignment,
-        lut=table.lut,
-        final_wcss=table.final_wcss,
-        converged=table.converged,
-        wcss_history=table.wcss_history,
-    )
+    return dataclasses.replace(table, root=CONJUGATE_ROOT[table.root],
+                               means=means)
 
 
 def root_tables(size_n: int, k: int) -> tuple[ClusterTable, ...]:

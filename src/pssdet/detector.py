@@ -71,8 +71,9 @@ its own key, whatever the job count.  Seeds must be non-negative.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,6 +316,8 @@ def detect(stream: RxStream, config: EngineConfig, threshold: float) -> Detectio
             f"detect needs a {SAMPLE_RATE_HZ:g} Hz stream, "
             f"got {stream.sample_rate_hz:g} Hz"
         )
+    if math.isnan(threshold):
+        raise ValueError(f"NaN threshold for {config.key}")
     peak = _cached_batch((config,)).peaks(stream.samples)[0]
     metric, lag, root_idx = peak
 
@@ -342,8 +345,7 @@ def _check_seed(seed):
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
-def _calibrate_chunk(start, stop, payload):
-    configs, seed = payload
+def _calibrate_chunk(start, stop, *, configs, seed):
     batch = _cached_batch(configs)
     out = np.empty((stop - start, len(configs)))
     # One noise half frame at a time, drawn into buffers the chunk reuses
@@ -351,8 +353,7 @@ def _calibrate_chunk(start, stop, payload):
     draws = np.empty(2 * HALF_FRAME_LEN)
     samples = np.empty(HALF_FRAME_LEN, dtype=complex)
     for t in range(start, stop):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(CALIBRATION, t)))
+        rng = ch.keyed_rng(seed, CALIBRATION, t)
         peaks = batch.peaks(ch.fill_floor_noise(rng, samples, draws))
         out[t - start] = [p[0] for p in peaks]
     return out
@@ -380,8 +381,8 @@ def calibrate_thresholds(
         raise ValueError(f"pfa must lie in (0, 1), got {pfa}")
     if trials < 100:
         raise ValueError("calibration needs at least 100 trials")
-    payload = (configs, seed)
-    maxima = np.concatenate(_chunked(_calibrate_chunk, trials, jobs, payload))
+    chunk = functools.partial(_calibrate_chunk, configs=configs, seed=seed)
+    maxima = np.concatenate(_chunked(chunk, trials, jobs))
     quantiles = np.quantile(maxima, 1.0 - pfa, axis=0)
     return {c.key: float(q) for c, q in zip(configs, quantiles)}
 
@@ -412,7 +413,7 @@ def _trial_scenario(trial: np.random.SeedSequence, point: ChannelScenario, sym_l
     return dataclasses.replace(point, timing_offset=theta, seed=trial)
 
 
-def _trial_chunk(start, stop, payload):
+def _trial_chunk(start, stop, *, configs, thresholds, point, seed, p, max_hf):
     """Per trial and engine: the 1-based half frame of the first correct
     detection, or 0 if none came within max_hf half frames.
 
@@ -430,7 +431,6 @@ def _trial_chunk(start, stop, payload):
     region again and the rest from its own key, so the random draws
     do not depend on what is scored.
     """
-    configs, thresholds, point, seed, p, max_hf = payload
     batch = _cached_batch(configs)
     tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
     root_idx = PSS_ROOTS.index(TRIAL_ROOT)
@@ -468,7 +468,11 @@ def _experiment_thresholds(configs, thresholds, trials, pfa,
         thresholds = calibrate_thresholds(
             configs, pfa=pfa, trials=calibration_trials, seed=seed, jobs=jobs,
         )
-    return tuple(thresholds[c.key] for c in configs)
+    lam = tuple(thresholds[c.key] for c in configs)
+    nan = [c.key for c, x in zip(configs, lam) if math.isnan(x)]
+    if nan:
+        raise ValueError(f"NaN threshold for {', '.join(nan)}")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +494,6 @@ def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
 @dataclass(frozen=True)
 class PmdPoint:
     engine_key: str
-    kind: str
-    num_clusters: int | None
-    oversample: int
     snr_db: float
     trials: int
     misses: int
@@ -538,15 +539,15 @@ def pmd_experiment(
     points = []
     for p, scenario in enumerate(scenarios):
         snr_db = scenario.snr_db
-        payload = (configs, lam, scenario, base_seed, p, 1)
-        first = np.concatenate(_chunked(_trial_chunk, trials, jobs, payload))
+        chunk = functools.partial(_trial_chunk, configs=configs, thresholds=lam,
+                                  point=scenario, seed=base_seed, p=p, max_hf=1)
+        first = np.concatenate(_chunked(chunk, trials, jobs))
         misses = np.count_nonzero(first == 0, axis=0)
         for c, m in zip(configs, misses):
             lo, hi = wilson_ci(int(m), trials)
             points.append(PmdPoint(
-                engine_key=c.key, kind=c.kind, num_clusters=c.num_clusters,
-                oversample=c.oversample, snr_db=snr_db, trials=trials,
-                misses=int(m), pmd=m / trials, ci_lo=lo, ci_hi=hi,
+                engine_key=c.key, snr_db=snr_db, trials=trials, misses=int(m),
+                pmd=m / trials, ci_lo=lo, ci_hi=hi,
             ))
         if verbose:
             line = "  ".join(
@@ -615,8 +616,10 @@ def acquisition_experiment(
         raise ValueError("max_half_frames must be at least 1")
     lam = _experiment_thresholds(configs, thresholds, trials, pfa,
                                  calibration_trials, base_seed, jobs)
-    payload = (configs, lam, scenario, base_seed, 0, max_half_frames)
-    first = np.concatenate(_chunked(_trial_chunk, trials, jobs, payload))
+    chunk = functools.partial(_trial_chunk, configs=configs, thresholds=lam,
+                              point=scenario, seed=base_seed, p=0,
+                              max_hf=max_half_frames)
+    first = np.concatenate(_chunked(chunk, trials, jobs))
     rows = []
     for t, row in enumerate(first.tolist()):
         for config, acquired in zip(configs, row):
@@ -667,9 +670,11 @@ def median_time_ci(results, engine_key: str):
 
 
 # ---------------------------------------------------------------------------
-# Shared trial-chunking machinery.  Workers rebuild engines from their
-# configs; a per-process cache keeps that cost to one build per config
-# set.
+# Shared trial-chunking machinery.  A chunk function is one of the
+# chunk workers above with its run's parameters bound by
+# functools.partial, called as fn(start, stop).  Workers rebuild engines
+# from their configs; a per-process cache keeps that cost to one build
+# per config set.
 # ---------------------------------------------------------------------------
 
 _BATCH_CACHE: dict[tuple[EngineConfig, ...], BatchEvaluator] = {}
@@ -684,25 +689,24 @@ def _cached_batch(configs) -> BatchEvaluator:
     return batch
 
 
-def _chunk_runner(args):
-    fn, start, stop, payload = args
-    return fn(start, stop, payload)
+def _chunked(fn, trials, jobs):
+    """Run fn(start, stop) over [0, trials), as a list of chunk results.
 
-
-def _chunked(fn, trials, jobs, payload):
-    """Run fn(start, stop, payload) over [0, trials) in bounded workers.
-
-    Results come back in chunk order, and every trial derives its
-    randomness from its own index, so the output is identical for any
-    job count.
+    One job runs the whole range here.  More jobs split it into about
+    4 * jobs chunks over a process pool of min(jobs, chunks, CPUs)
+    workers; the pool module is imported only then.  Results come back
+    in chunk order, and every trial derives its randomness from its own
+    index, so the output is identical for any job count.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
-        return [fn(0, trials, payload)]
+        return [fn(0, trials)]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, math.ceil(trials / (4 * jobs)))
-    spans = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(
-            _chunk_runner, [(fn, s, e, payload) for s, e in spans]
-        ))
+    starts = range(0, trials, chunk)
+    stops = [min(s + chunk, trials) for s in starts]
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, starts, stops))

@@ -12,8 +12,6 @@ asserted by the test suite at machine precision.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from dataclasses import dataclass
 
@@ -30,31 +28,6 @@ CONJUGATE_ROOT = {29: 34, 34: 29}
 # size.  These are the LTE normal-CP lengths scaled down from the
 # 2048-point grid (144 * N / 2048), truncated to an integer at N = 64.
 CP_LENGTH = {64: 4, 128: 9}
-
-_SUPPORTED_SIZES = (64, 128)
-
-
-@dataclass(frozen=True)
-class ZcSequence:
-    """A Zadoff-Chu sequence d_u(n) = exp(-j pi u n (n+1) / L), L = 63."""
-
-    root: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class FreqGrid:
-    """Frequency-domain PSS on an N-point grid, DFT-natural bin order.
-
-    ``bins[0]`` is DC, ``bins[1:size_n // 2]`` are the positive
-    subcarriers k = 1 .. N/2 - 1 and ``bins[size_n // 2:]`` hold the
-    negative ones, so signed index k maps to array index k mod N.
-    Only the 62 bins k = +/-1 .. +/-31 are occupied; DC stays zero.
-    """
-
-    root: int
-    size_n: int
-    bins: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -81,7 +54,7 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def zc_sequence(root: int) -> ZcSequence:
+def zc_sequence(root: int) -> np.ndarray:
     """Generate the length-63 Zadoff-Chu sequence of one root.
 
     Parameters
@@ -91,9 +64,9 @@ def zc_sequence(root: int) -> ZcSequence:
 
     Returns
     -------
-    ZcSequence
-        Unit-modulus sequence d_u(n) = exp(-j pi u n (n+1) / L) for
-        n = 0 .. L-1, L = ZC_LENGTH.
+    np.ndarray
+        Read-only unit-modulus sequence d_u(n) = exp(-j pi u n (n+1) / L)
+        for n = 0 .. L-1, L = ZC_LENGTH.
 
     Notes
     -----
@@ -108,17 +81,20 @@ def zc_sequence(root: int) -> ZcSequence:
         raise ValueError(f"root {root} is not coprime with {ZC_LENGTH}")
     n = np.arange(ZC_LENGTH, dtype=np.int64)
     phase_idx = (root * n * (n + 1)) % (2 * ZC_LENGTH)
-    values = np.exp(-1j * np.pi * phase_idx / ZC_LENGTH)
-    return ZcSequence(root=root, values=_frozen(values))
+    return _frozen(np.exp(-1j * np.pi * phase_idx / ZC_LENGTH))
 
 
-def map_to_subcarriers(seq: ZcSequence, size_n: int) -> FreqGrid:
-    """Place the center-punctured ZC sequence on an N-point DFT grid.
+def map_to_subcarriers(seq: np.ndarray, size_n: int) -> np.ndarray:
+    """Place the center-punctured ZC sequence on an N-point DFT grid,
+    as a read-only array of N bins in DFT-natural order.
 
     The 63-element sequence loses its center element d(31); the first
     half d(0..30) goes to subcarriers k = -31 .. -1 and the second half
     d(32..62) to k = +1 .. +31, i.e. bin k holds d(k + 31) for every
-    occupied k.  DC and all bins beyond +/-31 stay zero.
+    occupied k.  Bin 0 is DC, bins 1 .. N/2 - 1 are the positive
+    subcarriers and bins N/2 .. N - 1 the negative ones, so signed
+    index k sits at array index k mod N.  DC and all bins beyond +/-31
+    stay zero.
     """
     if size_n < ZC_LENGTH + 1:
         raise ValueError(
@@ -127,8 +103,8 @@ def map_to_subcarriers(seq: ZcSequence, size_n: int) -> FreqGrid:
     bins = np.zeros(size_n, dtype=complex)
     k = np.arange(-31, 32)
     k = k[k != 0]
-    bins[k % size_n] = seq.values[k + 31]
-    return FreqGrid(root=seq.root, size_n=size_n, bins=_frozen(bins))
+    bins[k % size_n] = seq[k + 31]
+    return _frozen(bins)
 
 
 def pss_time_domain(root: int, size_n: int) -> PssWaveform:
@@ -139,10 +115,10 @@ def pss_time_domain(root: int, size_n: int) -> PssWaveform:
     forward DFT of the grid scaled by 1/N.  The direct sum is kept as a
     test oracle; this path must agree with it to 1e-12 relative.
     """
-    if size_n not in _SUPPORTED_SIZES:
-        raise ValueError(f"size_n must be one of {_SUPPORTED_SIZES}, got {size_n}")
-    grid = map_to_subcarriers(zc_sequence(root), size_n)
-    samples = np.fft.fft(grid.bins) / size_n
+    if size_n not in CP_LENGTH:
+        raise ValueError(f"size_n must be one of {tuple(CP_LENGTH)}, got {size_n}")
+    bins = map_to_subcarriers(zc_sequence(root), size_n)
+    samples = np.fft.fft(bins) / size_n
     return PssWaveform(root=root, size_n=size_n, cp_len=0, samples=_frozen(samples))
 
 
@@ -187,14 +163,11 @@ def write_waveform_csv(path, samples: np.ndarray) -> None:
 
     Floats are rendered with repr (shortest round-trip form), so the
     file regenerates byte-identically for identical inputs.  Rows end
-    in CRLF, as csv.writer writes them.
+    in CRLF.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["index", "re", "im"])
-    for i, v in enumerate(samples):
-        writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
-    write_text(path, buf.getvalue().encode("ascii"))
+    rows = ["index,re,im"] + [f"{i},{float(v.real)!r},{float(v.imag)!r}"
+                              for i, v in enumerate(samples)]
+    write_text(path, "".join(row + "\r\n" for row in rows).encode("ascii"))
 
 
 def write_iq(path, samples: np.ndarray) -> None:

@@ -433,6 +433,7 @@ def test_repeated_engine_exits_1_and_writes_nothing(tmp_path, capsys, argv):
     ("pmd", {"thresholds": {"mf_opt_os2": "6.0"}}),
     ("acq", {"snr": [-2.0]}),
     ("acq", {"max_half_frames": 4.0}),
+    ("pmd", {"thresholds": {"mf_opt_os2": float("nan")}}),
 ])
 def test_config_values_must_have_the_flag_type(tmp_path, capsys, no_calibration,
                                                command, config):
@@ -443,6 +444,30 @@ def test_config_values_must_have_the_flag_type(tmp_path, capsys, no_calibration,
     key = next(iter(config))
     assert f"config key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [True, "6.0", None, float("nan")],
+                         ids=["bool", "string", "null", "nan"])
+def test_threshold_files_hold_numbers_other_than_nan(tmp_path, capsys,
+                                                     no_calibration, value):
+    path = tmp_path / "lam.json"
+    path.write_text(json.dumps({"mf_opt_os2": value}))
+    out = tmp_path / "out"
+    assert main(["pmd", "--engines", "mf_opt:os2", "--snr", "0", "--trials", "2",
+                 "--thresholds", str(path), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: thresholds")
+    assert not out.exists()
+
+
+def test_threshold_files_accept_infinity(tmp_path, capsys, no_calibration):
+    # +inf never detects, so every trial misses.
+    path = tmp_path / "lam.json"
+    path.write_text(json.dumps({"mf_opt_os2": float("inf")}))
+    assert main(["pmd", "--engines", "mf_opt:os2", "--snr", "10", "--trials", "2",
+                 "--thresholds", str(path), "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    row = (tmp_path / "pmd.csv").read_text().splitlines()[1].split(",")
+    assert row[5] == "2"
 
 
 def test_config_accepts_ints_for_float_flags(tmp_path, thresholds_file, capsys):

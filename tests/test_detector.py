@@ -1,5 +1,7 @@
 """Detection engines, calibration, and the experiment drivers."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -312,13 +314,18 @@ def mixed_thresholds():
     return tuple(lam[c.key] for c in MIXED)
 
 
-def _full_trial_chunk(payload, trials):
+def _chunk_args(thresholds, point, seed, max_hf):
+    return dict(configs=MIXED, thresholds=thresholds, point=point, seed=seed,
+                p=0, max_hf=max_hf)
+
+
+def _full_trial_chunk(kwargs, trials):
     """The trial loop with the gate always open: every half frame gets
     the full pass."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(BatchEvaluator, "window_peaks",
                    lambda self, *args: np.full(len(self.configs), np.inf))
-        return _trial_chunk(0, trials, payload)
+        return _trial_chunk(0, trials, **kwargs)
 
 
 def _channel_point(fading, cfo_ppm, snr_db):
@@ -340,22 +347,22 @@ def _channel_point(fading, cfo_ppm, snr_db):
 def test_gated_trial_loop_matches_full_loop(mixed_thresholds, fading, cfo_ppm,
                                             snr_db, cap, seed):
     point = _channel_point(fading, cfo_ppm, snr_db)
-    payload = (MIXED, mixed_thresholds, point, seed, 0, cap)
-    np.testing.assert_array_equal(_trial_chunk(0, 4, payload),
-                                  _full_trial_chunk(payload, 4))
+    kwargs = _chunk_args(mixed_thresholds, point, seed, cap)
+    np.testing.assert_array_equal(_trial_chunk(0, 4, **kwargs),
+                                  _full_trial_chunk(kwargs, 4))
 
 
 def test_gate_skips_half_frames_that_cannot_score(monkeypatch, mixed_thresholds):
     # TU6 block fading at 5 ppm: the correlation peak often leaves the
     # tolerance window, so most half frames skip the full pass.
     point = _channel_point("rayleigh_block", 5.0, -5.0)
-    payload = (MIXED, mixed_thresholds, point, 16, 0, 30)
-    full = _full_trial_chunk(payload, 4)
+    kwargs = _chunk_args(mixed_thresholds, point, 16, 30)
+    full = _full_trial_chunk(kwargs, 4)
     calls = []
     peaks = BatchEvaluator.peaks
     monkeypatch.setattr(BatchEvaluator, "peaks",
                         lambda self, x: calls.append(1) or peaks(self, x))
-    first = _trial_chunk(0, 4, payload)
+    first = _trial_chunk(0, 4, **kwargs)
     np.testing.assert_array_equal(first, full)
     assert first.any()
     half_frames = sum(row.max() if row.all() else 30 for row in first)
@@ -378,9 +385,9 @@ def test_gate_at_threshold_boundary(ulps_below):
     for config, values in zip(MIXED, fft_values):
         peak = _window_max(values, config, stream.pss_starts[0], root_idx)
         lam.append(np.nextafter(peak, -np.inf) if ulps_below else peak)
-    payload = (MIXED, tuple(lam), point, seed, 0, 1)
-    first = _trial_chunk(0, 1, payload)
-    np.testing.assert_array_equal(first, _full_trial_chunk(payload, 1))
+    kwargs = _chunk_args(tuple(lam), point, seed, 1)
+    first = _trial_chunk(0, 1, **kwargs)
+    np.testing.assert_array_equal(first, _full_trial_chunk(kwargs, 1))
     np.testing.assert_array_equal(first, [[ulps_below] * len(MIXED)])
 
 
@@ -417,7 +424,7 @@ def test_gate_reads_only_the_burst_region(taps, theta):
 def test_gated_out_half_frames_never_draw_their_rest_noise(monkeypatch,
                                                            mixed_thresholds):
     point = _channel_point("rayleigh_block", 5.0, -5.0)
-    payload = (MIXED, mixed_thresholds, point, 16, 0, 30)
+    kwargs = _chunk_args(mixed_thresholds, point, 16, 30)
     log = []
     keyed = ch.keyed_rng
     monkeypatch.setattr(ch, "keyed_rng",
@@ -425,7 +432,7 @@ def test_gated_out_half_frames_never_draw_their_rest_noise(monkeypatch,
     peaks = BatchEvaluator.peaks
     monkeypatch.setattr(BatchEvaluator, "peaks",
                         lambda self, x: log.append("pass") or peaks(self, x))
-    _trial_chunk(0, 4, payload)
+    _trial_chunk(0, 4, **kwargs)
     passes = log.count("pass")
     rest = [k for k, key in enumerate(log) if key[2:] == (REST,)]
     # Every REST generator is built by the embed of a half frame that
@@ -576,8 +583,7 @@ def test_wilson_ci_known_values():
 
 
 def _point(key, snr, pmd):
-    return PmdPoint(engine_key=key, kind="mf_opt", num_clusters=None,
-                    oversample=2, snr_db=snr, trials=100,
+    return PmdPoint(engine_key=key, snr_db=snr, trials=100,
                     misses=int(round(pmd * 100)), pmd=pmd,
                     ci_lo=max(0.0, pmd - 0.05), ci_hi=min(1.0, pmd + 0.05))
 
@@ -785,6 +791,53 @@ def test_repeated_engines_are_rejected_before_any_work(monkeypatch):
             pmd_experiment(engines, [-5.0], trials=4, thresholds=thresholds)
         with pytest.raises(ValueError, match=match):
             acquisition_experiment(engines, trials=4, thresholds=thresholds)
+
+
+def test_nan_thresholds_are_rejected_before_any_trial(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("a trial chunk was run")
+
+    monkeypatch.setattr("pssdet.detector._chunked", reached)
+    lam = {"mf_opt_os2": np.nan, "cluster_k8_os2": 5.5}
+    match = "NaN threshold for mf_opt_os2"
+    with pytest.raises(ValueError, match=match):
+        pmd_experiment(ENGINES, [-5.0], trials=4, thresholds=lam)
+    with pytest.raises(ValueError, match=match):
+        acquisition_experiment(ENGINES, trials=4, thresholds=lam)
+    tx = add_cyclic_prefix(pss_time_domain(25, 128))
+    stream = embed_pss_in_halfframe(
+        tx, ChannelScenario(snr_db=5.0, timing_offset=800, seed=40))
+    with pytest.raises(ValueError, match=match):
+        detect(stream, ENGINES[0], np.nan)
+    # +inf stays a valid threshold: it never detects.
+    assert not detect(stream, ENGINES[0], np.inf).detected
+
+
+def test_process_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # A stand-in pool that records its size and maps in this process, so
+    # the test starts no process whatever the job count.
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("pssdet.detector.ProcessPoolExecutor", InProcessPool,
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    lam = calibrate_thresholds(ENGINES, trials=100, seed=3, jobs=8)
+    assert workers and max(workers) <= 2
+    assert lam == calibrate_thresholds(ENGINES, trials=100, seed=3, jobs=1)
 
 
 @pytest.mark.parametrize("bad", [

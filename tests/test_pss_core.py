@@ -35,14 +35,14 @@ SIZES = [64, 128]
 
 @pytest.mark.parametrize("u", ROOTS)
 def test_zc_constant_amplitude(u):
-    d = zc_sequence(u).values
+    d = zc_sequence(u)
     assert d.shape == (ZC_LENGTH,)
     np.testing.assert_allclose(np.abs(d), 1.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("u", ROOTS)
 def test_zc_matches_direct_formula(u):
-    d = zc_sequence(u).values
+    d = zc_sequence(u)
     n = np.arange(ZC_LENGTH)
     direct = np.exp(-1j * np.pi * u * n * (n + 1) / ZC_LENGTH)
     np.testing.assert_allclose(d, direct, atol=1e-12)
@@ -52,13 +52,13 @@ def test_zc_matches_direct_formula(u):
 def test_zc_central_symmetry(u):
     # d(n) = d(62 - n): n(n+1) and (62-n)(63-n) differ by a multiple
     # of 2*63, so the phases coincide.
-    d = zc_sequence(u).values
+    d = zc_sequence(u)
     np.testing.assert_allclose(d, d[::-1], atol=1e-14)
 
 
 @pytest.mark.parametrize("u", ROOTS)
 def test_zc_zero_circular_autocorrelation(u):
-    d = zc_sequence(u).values
+    d = zc_sequence(u)
     for shift in range(1, ZC_LENGTH):
         r = np.vdot(np.roll(d, shift), d)
         assert abs(r) < 1e-11, shift
@@ -76,10 +76,10 @@ def test_zc_rejects_bad_arguments():
 def test_conjugate_pair_is_29_34():
     # 63 - 29 = 34 makes the pair exact; root 25 pairs with 38, which
     # is not a PSS root, so it has no partner here.
-    d29 = zc_sequence(29).values
-    d34 = zc_sequence(34).values
+    d29 = zc_sequence(29)
+    d34 = zc_sequence(34)
     assert np.abs(d29 - np.conj(d34)).max() < 1e-12
-    d25 = zc_sequence(25).values
+    d25 = zc_sequence(25)
     assert np.abs(d25 - np.conj(d34)).max() > 1.0
     assert np.abs(d25 - np.conj(d29)).max() > 1.0
 
@@ -92,8 +92,8 @@ def test_conjugate_pair_is_29_34():
 
 @pytest.mark.parametrize("size_n", SIZES)
 def test_mapping_occupies_62_bins(size_n):
-    grid = map_to_subcarriers(zc_sequence(25), size_n)
-    occupied = np.flatnonzero(grid.bins)
+    bins = map_to_subcarriers(zc_sequence(25), size_n)
+    occupied = np.flatnonzero(bins)
     assert len(occupied) == 62
     assert 0 not in occupied  # DC punctured
     expected = sorted(k % size_n for k in range(-31, 32) if k != 0)
@@ -103,21 +103,21 @@ def test_mapping_occupies_62_bins(size_n):
 @pytest.mark.parametrize("size_n", SIZES)
 def test_mapping_bin_values(size_n):
     d = zc_sequence(25)
-    grid = map_to_subcarriers(d, size_n)
+    bins = map_to_subcarriers(d, size_n)
     for k in range(-31, 32):
         if k == 0:
             continue
-        assert grid.bins[k % size_n] == d.values[k + 31], k
+        assert bins[k % size_n] == d[k + 31], k
     # The center element d(31) is the punctured one.
-    assert d.values[31] not in grid.bins[np.flatnonzero(grid.bins)][:1]
+    assert d[31] not in bins[np.flatnonzero(bins)][:1]
 
 
 @pytest.mark.parametrize("size_n", SIZES)
 def test_mapping_hermitian_like_symmetry(size_n):
     # d(n) = d(62 - n) turns into D(k) = D(N - k) on the grid.
-    grid = map_to_subcarriers(zc_sequence(29), size_n)
+    bins = map_to_subcarriers(zc_sequence(29), size_n)
     k = np.arange(1, size_n)
-    np.testing.assert_allclose(grid.bins[k], grid.bins[size_n - k], atol=1e-14)
+    np.testing.assert_allclose(bins[k], bins[size_n - k], atol=1e-14)
 
 
 def test_mapping_rejects_small_grid():
@@ -130,7 +130,7 @@ def test_mapping_rejects_small_grid():
 # ---------------------------------------------------------------------------
 
 def _direct_time_domain(root, size_n):
-    bins = map_to_subcarriers(zc_sequence(root), size_n).bins
+    bins = map_to_subcarriers(zc_sequence(root), size_n)
     n = np.arange(size_n)[:, None]
     k = np.arange(size_n)[None, :]
     return (bins * np.exp(-2j * np.pi * n * k / size_n)).sum(axis=1) / size_n
@@ -233,6 +233,15 @@ def test_waveforms_are_read_only():
         w.samples[0] = 0
 
 
+def test_sequence_and_grid_are_read_only_arrays():
+    d = zc_sequence(25)
+    bins = map_to_subcarriers(d, 64)
+    for values, length in ((d, ZC_LENGTH), (bins, 64)):
+        assert isinstance(values, np.ndarray) and values.shape == (length,)
+        with pytest.raises(ValueError):
+            values[1] = 0
+
+
 # ---------------------------------------------------------------------------
 # File round trips.
 # ---------------------------------------------------------------------------
@@ -246,6 +255,13 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(rows[:, 1] + 1j * rows[:, 2], w.samples)
     header = path.read_text().splitlines()[0]
     assert header == "index,re,im"
+
+
+def test_csv_exact_bytes(tmp_path):
+    # A header row, then index and repr-formatted floats; CRLF endings.
+    path = tmp_path / "two.csv"
+    write_waveform_csv(path, np.array([1 + 2j, -0.5 + 0j]))
+    assert path.read_bytes() == b"index,re,im\r\n0,1.0,2.0\r\n1,-0.5,0.0\r\n"
 
 
 def test_csv_rewrite_is_byte_identical(tmp_path):
