@@ -274,7 +274,8 @@ def burst_region(w, scenario: ChannelScenario, *, half_frame: int = 0):
     return lo, region
 
 
-def embed_pss_in_halfframe(w, scenario: ChannelScenario, *, half_frame: int = 0) -> RxStream:
+def embed_pss_in_halfframe(w, scenario: ChannelScenario, *, half_frame: int = 0,
+                           region=None) -> RxStream:
     """Synthesize half frame ``half_frame`` of a trial: HALF_FRAME_LEN
     samples with one PSS burst.
 
@@ -284,23 +285,22 @@ def embed_pss_in_halfframe(w, scenario: ChannelScenario, *, half_frame: int = 0)
     samples [i * HALF_FRAME_LEN, (i + 1) * HALF_FRAME_LEN); the CFO ramp
     and Jakes fading run on those absolute indices, so consecutive half
     frames are continuous.  The samples around the burst are
-    burst_region's, drawn from the key (HALF_FRAME, i) below
-    scenario.seed; the noise of every other sample comes from
-    (HALF_FRAME, i, REST), in sample order, and the Jakes rays from
-    (JAKES,), the same for every half frame of the trial.  The reported
-    pss_starts holds the symbol body position (after the cyclic prefix)
-    within the half frame.
+    burst_region's ``(lo, samples)``, which a caller that already holds
+    them passes as ``region``; the noise of every other sample comes
+    from the key (HALF_FRAME, i, REST) below scenario.seed, in sample
+    order.  The reported pss_starts holds the symbol body position
+    (after the cyclic prefix) within the half frame.
     """
-    lo, region = burst_region(w, scenario, half_frame=half_frame)
-    hi = lo + len(region)
-    n_rest = HALF_FRAME_LEN - len(region)
+    lo, burst = region or burst_region(w, scenario, half_frame=half_frame)
+    hi = lo + len(burst)
+    n_rest = HALF_FRAME_LEN - len(burst)
     samples = np.zeros(HALF_FRAME_LEN, dtype=complex)
     if np.isfinite(scenario.snr_db):
         rest = fill_floor_noise(keyed_rng(scenario.seed, HALF_FRAME, half_frame, REST),
                                 np.empty(n_rest, dtype=complex), np.empty(2 * n_rest))
         samples[:lo] = rest[:lo]
         samples[hi:] = rest[lo:]
-    samples[lo:hi] = region
+    samples[lo:hi] = burst
     return RxStream(
         samples=samples,
         sample_rate_hz=SAMPLE_RATE_HZ,
@@ -326,13 +326,14 @@ def write_stream(stream: RxStream, iq_path) -> None:
 def read_stream(iq_path) -> RxStream:
     samples = read_iq(iq_path)
     side = f"{iq_path}.json"
-    if os.path.exists(side):
-        with open(side) as f:
-            meta = json.load(f)
-        return RxStream(
-            samples=samples,
-            sample_rate_hz=float(meta["sample_rate_hz"]),
-            true_root=meta["true_root"],
-            pss_starts=np.asarray(meta["pss_starts"], dtype=np.int64),
-        )
-    return RxStream(samples=samples, sample_rate_hz=SAMPLE_RATE_HZ)
+    if not os.path.exists(side):
+        return RxStream(samples=samples, sample_rate_hz=SAMPLE_RATE_HZ)
+    with open(side) as f:
+        meta = json.load(f)
+    missing = [k for k in ("sample_rate_hz", "true_root", "pss_starts")
+               if not isinstance(meta, dict) or k not in meta]
+    if missing:
+        raise ValueError(f"stream sidecar {side} lacks {', '.join(missing)}")
+    return RxStream(samples=samples, sample_rate_hz=float(meta["sample_rate_hz"]),
+                    true_root=meta["true_root"],
+                    pss_starts=np.asarray(meta["pss_starts"], dtype=np.int64))

@@ -120,6 +120,8 @@ def parse_snr_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise CliError(f"range spec needs start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise CliError(f"snr range needs a finite start, stop and step, got {text!r}")
         if step <= 0:
             raise CliError("snr step must be positive")
         count = int(round((stop - start) / step)) + 1
@@ -150,9 +152,13 @@ def _number(value) -> bool:
 
 def _table(value) -> bool:
     """A thresholds table, from a config or a --thresholds file: numbers
-    other than NaN; +inf (never detect) is allowed."""
-    return isinstance(value, dict) and all(
-        _number(v) and not math.isnan(v) for v in value.values())
+    that convert to a float other than NaN; +inf (never detect) is
+    allowed, an int too large for a float is not."""
+    try:
+        return isinstance(value, dict) and all(
+            _number(v) and not math.isnan(float(v)) for v in value.values())
+    except OverflowError:
+        return False
 
 
 def _fits(value, default) -> bool:
@@ -234,7 +240,7 @@ def _load_thresholds(resolved, configs):
             raise CliError(f"cannot read thresholds {table}: {exc}") from exc
         if not _table(table):
             raise CliError(f"thresholds {resolved['thresholds']} must map "
-                           "engine keys to numbers other than NaN")
+                           "engine keys to numbers other than NaN, within float range")
     missing = [c.key for c in configs if c.key not in table]
     if missing:
         raise CliError(f"thresholds lack engines: {', '.join(missing)}")

@@ -17,9 +17,7 @@ therefore evaluates all engines of one rate as one block correlation
 per stream, by overlap-save FFTs against every coefficient column at
 once (:class:`BatchEvaluator`, also behind :func:`detect`).  FFT
 rounding differs from that of a direct sum of products by about 1e-15
-of the largest metric, so calibrated thresholds can differ from those
-of earlier versions, which multiplied a window matrix, in the last one
-or two digits.  The per-engine operation counts are closed-form
+of the largest metric.  The per-engine operation counts are closed-form
 formulas in :func:`pssdet.correlator.bench_ops`, and the reference
 correlators there (brute, symmetry-folded with conjugate-root sharing,
 or K-term clustered accumulation) are verified against these
@@ -43,15 +41,14 @@ reads that window by direct inner products
 and skips the pass when every engine still searching stays at or
 below threshold * (1 - GATE_MARGIN).  GATE_MARGIN = 1e-9 is six orders
 wider than the FFT/direct rounding gap, so the gate never skips a half
-frame the full pass would have scored, and outputs do not change.  The
-gate reads only the half frame's burst region (channel.burst_region),
-so the rest of a half frame is synthesized only when the gate passes.
+frame the full pass would have scored, and outputs do not change.
 
 Each experiment builds one ChannelScenario per SNR point, which
 validates it before any calibration; every trial is a copy of it made
-with dataclasses.replace, differing only in timing offset and seed,
-and the trial loop synthesizes each half frame it visits by index:
-its burst region always, the rest only when the gate passes.
+with dataclasses.replace, differing only in timing offset and seed.
+The trial loop synthesizes each half frame it visits by index: its
+burst region (channel.burst_region), which the gate reads, and only
+when the gate passes the rest around it, so no sample is drawn twice.
 
 Every generator of a run comes from one rule:
 default_rng(SeedSequence(seed, spawn_key=(purpose, ...))).
@@ -155,10 +152,10 @@ class _RateGroup:
         self.padded = np.zeros((segs - 1) * self.step + BLOCK, dtype=complex)
         self.segments = sliding_window_view(self.padded, BLOCK)[::self.step]
         self.segment_spectra = np.empty((segs, BLOCK), dtype=complex)
-        self.products = np.empty((segs, *self.spectrum.shape), dtype=complex)
-        # Engines x segments x roots x lags within the segment: each
-        # engine's block is contiguous and every pass runs along lags.
-        self.metric = np.empty((len(self.idx), segs, 3, self.step))
+        self.products = np.empty((len(self.spectrum), segs, BLOCK), dtype=complex)
+        # Columns x lags (padded to whole segments): column 3j + r is
+        # engine j's root r, so each engine's three rows are one block.
+        self.metric = np.empty((len(self.spectrum), segs * self.step))
 
     def evaluate(self, native_samples):
         """Fill the metric buffer for one native-rate stream."""
@@ -170,22 +167,21 @@ class _RateGroup:
             self._resize(len(x))
         self.padded[:len(x)] = x
         np.fft.fft(self.segments, axis=-1, out=self.segment_spectra)
-        np.multiply(self.segment_spectra[:, None, :], self.spectrum,
+        np.multiply(self.segment_spectra, self.spectrum[:, None],
                     out=self.products)
         np.fft.ifft(self.products, axis=-1, out=self.products)
         # |.|^2 of the valid lags: square real and imaginary parts in
         # place, then add each pair into the metric buffer.
-        engines, segs = self.metric.shape[:2]
         parts = self.products.view(float)[:, :, :2 * self.step]
         np.square(parts, out=parts)
-        parts = parts.reshape(segs, engines, 3, self.step, 2).swapaxes(0, 1)
-        np.add(parts[..., 0], parts[..., 1], out=self.metric)
+        np.add(parts[..., 0::2], parts[..., 1::2],
+               out=self.metric.reshape(*parts.shape[:2], self.step))
         # Lags past the last full window correlate with the zero padding.
-        self.metric[:, -1, :, self.lags - (segs - 1) * self.step:] = -np.inf
+        self.metric[:, self.lags:] = -np.inf
 
     def values(self, j):
         """Engine j's metric per (lag, root), as a new array."""
-        return np.concatenate(self.metric[j].swapaxes(1, 2))[:self.lags]
+        return self.metric[3 * j:3 * j + 3, :self.lags].T.copy()
 
     def _band(self, root_idx):
         """One root's column of every engine, shifted down one row per
@@ -218,10 +214,10 @@ class _RateGroup:
 
     def peak(self, j):
         """Engine j's (metric, lag, root index) at its maximum.  Exact
-        ties go to the earliest segment, then root, then lag."""
-        seg, rest = divmod(int(np.argmax(self.metric[j])), 3 * self.step)
-        root_idx, k = divmod(rest, self.step)
-        return float(self.metric[j, seg, root_idx, k]), seg * self.step + k, root_idx
+        ties go to the lowest root index, then the earliest lag."""
+        block = self.metric[3 * j:3 * j + 3]
+        root_idx, lag = divmod(int(np.argmax(block)), block.shape[1])
+        return float(block[root_idx, lag]), lag, root_idx
 
 
 class BatchEvaluator:
@@ -281,13 +277,11 @@ class BatchEvaluator:
         return out
 
 
-def _score(peak, config: EngineConfig, threshold: float, stream: RxStream) -> bool:
+def _score(peak, config: EngineConfig, threshold: float, root: int, start) -> bool:
+    """Whether ``peak`` detects ``root`` at native body start ``start``."""
     metric, lag, root_idx = peak
-    if metric <= threshold or PSS_ROOTS[root_idx] != stream.true_root:
-        return False
-    grid_starts = stream.pss_starts / config.decimation
-    lag_err = float(np.min(np.abs(grid_starts - lag)))
-    return lag_err <= DETECT_TOLERANCE[config.oversample]
+    return (metric > threshold and PSS_ROOTS[root_idx] == root
+            and abs(start / config.decimation - lag) <= DETECT_TOLERANCE[config.oversample])
 
 
 @dataclass(frozen=True)
@@ -323,7 +317,8 @@ def detect(stream: RxStream, config: EngineConfig, threshold: float) -> Detectio
 
     correct = None
     if stream.true_root is not None and len(stream.pss_starts):
-        correct = _score(peak, config, threshold, stream)
+        correct = any(_score(peak, config, threshold, stream.true_root, int(s))
+                      for s in stream.pss_starts)
 
     return DetectionResult(
         engine_key=config.key,
@@ -427,9 +422,9 @@ def _trial_chunk(start, stop, *, configs, thresholds, point, seed, p, max_hf):
     ``threshold * (1 - GATE_MARGIN)`` cannot score here; when that holds
     for every engine still searching, the pass is skipped and the
     rest of the half frame is never drawn.  Otherwise
-    ``embed_pss_in_halfframe`` synthesizes the whole half frame, the
-    region again and the rest from its own key, so the random draws
-    do not depend on what is scored.
+    ``embed_pss_in_halfframe`` completes the half frame around the
+    region the gate read, drawing the rest from its own key, so the
+    random draws do not depend on what is scored.
     """
     batch = _cached_batch(configs)
     tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
@@ -448,10 +443,11 @@ def _trial_chunk(start, stop, *, configs, thresholds, point, seed, p, max_hf):
             near = batch.window_peaks(region, body - lo, root_idx)
             if all(d or v <= g for d, v, g in zip(done, near, gates)):
                 continue
-            stream = embed_pss_in_halfframe(tx, scen, half_frame=i)
-            peaks = batch.peaks(stream.samples)
+            peaks = batch.peaks(embed_pss_in_halfframe(
+                tx, scen, half_frame=i, region=(lo, region)).samples)
             for e, config in enumerate(configs):
-                if not done[e] and _score(peaks[e], config, thresholds[e], stream):
+                if not done[e] and _score(peaks[e], config, thresholds[e],
+                                          TRIAL_ROOT, body):
                     done[e] = i + 1
         first[t - start] = done
     return first

@@ -28,6 +28,7 @@ from pssdet.channel import (
     TU6_TAPS,
     _JakesProcess,
     _tap_gains,
+    burst_region,
     fill_floor_noise,
 )
 
@@ -331,6 +332,24 @@ def test_embed_rejects_overflowing_offset():
         embed_pss_in_halfframe(w, ChannelScenario(), half_frame=-1)
 
 
+@pytest.mark.parametrize("half_frame", [0, 3])
+@pytest.mark.parametrize("scenario", [
+    dict(snr_db=-5.0),
+    dict(taps=TU6_TAPS, fading="rayleigh_block", snr_db=-5.0, cfo_ppm=5.0),
+    dict(taps=TU6_TAPS, fading="rayleigh_jakes", doppler_hz=50.0, snr_db=-5.0,
+         cfo_ppm=5.0),
+    dict(taps=TU6_TAPS, fading="rayleigh_block", cfo_ppm=5.0),
+], ids=["static", "tu6_block_5ppm", "tu6_jakes", "noiseless"])
+def test_embed_around_a_held_region_draws_the_same_half_frame(scenario, half_frame):
+    w = add_cyclic_prefix(pss_time_domain(25, 128))
+    sc = ChannelScenario(timing_offset=4321, seed=9, **scenario)
+    region = burst_region(w, sc, half_frame=half_frame)
+    held = embed_pss_in_halfframe(w, sc, half_frame=half_frame, region=region)
+    plain = embed_pss_in_halfframe(w, sc, half_frame=half_frame)
+    assert np.array_equal(held.samples, plain.samples)
+    np.testing.assert_array_equal(held.pss_starts, plain.pss_starts)
+
+
 def test_embed_is_reproducible():
     w = add_cyclic_prefix(pss_time_domain(29, 128))
     sc = ChannelScenario(taps=TU6_TAPS, snr_db=-5.0,
@@ -375,6 +394,20 @@ def test_stream_reads_sidecar_with_half_frame_len(tmp_path):
     assert back.pss_starts.tolist() == [409]
     assert back.sample_rate_hz == SAMPLE_RATE_HZ
     assert len(back.samples) == 9600
+
+
+@pytest.mark.parametrize("meta, missing", [
+    ({}, "sample_rate_hz, true_root, pss_starts"),
+    ({"sample_rate_hz": SAMPLE_RATE_HZ, "true_root": 25}, "pss_starts"),
+], ids=["empty", "no_starts"])
+def test_stream_sidecar_must_hold_every_key(tmp_path, meta, missing):
+    from pssdet import write_iq
+
+    path = tmp_path / "partial.iq"
+    write_iq(path, np.zeros(16, dtype=complex))
+    (tmp_path / "partial.iq.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"lacks {missing}$"):
+        read_stream(path)
 
 
 def test_stream_without_sidecar_gets_defaults(tmp_path):

@@ -69,6 +69,17 @@ def test_parse_snr_grid():
         parse_snr_grid("0:10:-1")
 
 
+@pytest.mark.parametrize("spec", ["-inf:0:1", "0:inf:1", "0:1:inf", "nan:0:1"])
+def test_snr_range_bounds_must_be_finite(tmp_path, capsys, spec):
+    with pytest.raises(CliError, match="finite"):
+        parse_snr_grid(spec)
+    out = tmp_path / "out"
+    assert main(["pmd", "--engines", "mf_opt:os2", f"--snr={spec}", "--trials", "2",
+                 "--output-dir", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # Exit codes.
 # ---------------------------------------------------------------------------
@@ -257,6 +268,21 @@ def test_detect_command(stored_stream, tmp_path, capsys):
     assert json.load(open(out)) == res
 
 
+def test_detect_command_scores_every_listed_start(stored_stream, capsys):
+    side = f"{stored_stream}.json"
+    meta = json.load(open(side))
+    start = meta["pss_starts"][0]
+    # The peak sits at the second listed start; the first is far from it.
+    for starts, correct in (([start + 5000, start], True), ([start + 5000], False)):
+        with open(side, "w") as f:
+            json.dump({**meta, "pss_starts": starts}, f)
+        assert main(["detect", "--stream", stored_stream, "--engine", "mf_opt:os2",
+                     "--threshold", "6.0"]) == 0
+        res = json.loads(capsys.readouterr().out)
+        assert res["detected"] is True
+        assert res["correct"] is correct
+
+
 def test_detect_command_rejects_other_sample_rates(stored_stream, capsys):
     side = stored_stream + ".json"
     meta = json.load(open(side))
@@ -434,6 +460,7 @@ def test_repeated_engine_exits_1_and_writes_nothing(tmp_path, capsys, argv):
     ("acq", {"snr": [-2.0]}),
     ("acq", {"max_half_frames": 4.0}),
     ("pmd", {"thresholds": {"mf_opt_os2": float("nan")}}),
+    ("pmd", {"thresholds": {"mf_opt_os2": 10**400}}),
 ])
 def test_config_values_must_have_the_flag_type(tmp_path, capsys, no_calibration,
                                                command, config):
@@ -446,8 +473,8 @@ def test_config_values_must_have_the_flag_type(tmp_path, capsys, no_calibration,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", [True, "6.0", None, float("nan")],
-                         ids=["bool", "string", "null", "nan"])
+@pytest.mark.parametrize("value", [True, "6.0", None, float("nan"), 10**400],
+                         ids=["bool", "string", "null", "nan", "int_too_large"])
 def test_threshold_files_hold_numbers_other_than_nan(tmp_path, capsys,
                                                      no_calibration, value):
     path = tmp_path / "lam.json"

@@ -432,17 +432,19 @@ def test_gated_out_half_frames_never_draw_their_rest_noise(monkeypatch,
     peaks = BatchEvaluator.peaks
     monkeypatch.setattr(BatchEvaluator, "peaks",
                         lambda self, x: log.append("pass") or peaks(self, x))
-    _trial_chunk(0, 4, **kwargs)
+    first = _trial_chunk(0, 4, **kwargs)
     passes = log.count("pass")
     rest = [k for k, key in enumerate(log) if key[2:] == (REST,)]
     # Every REST generator is built by the embed of a half frame that
-    # then gets the full pass.  The region key is built once per visited
-    # half frame and once more by each embed, and most visited half
-    # frames never get the pass.
+    # then gets the full pass.  The region key is built exactly once per
+    # visited half frame (the embed reuses the region the gate read), in
+    # order, and most visited half frames never get the pass.
     assert all(log[k + 1] == "pass" for k in rest)
     assert len(rest) == passes
-    regions = sum(1 for key in log if len(key) == 2 and key[0] == HALF_FRAME)
-    assert passes < (regions - passes) / 2
+    regions = [key for key in log if len(key) == 2 and key[0] == HALF_FRAME]
+    visited = [row.max() if row.all() else 30 for row in first]
+    assert regions == [(HALF_FRAME, i) for n in visited for i in range(n)]
+    assert passes < (len(regions) - passes) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +487,12 @@ def test_score_tolerance_edges():
     tx = add_cyclic_prefix(pss_time_domain(25, 128))
     stream = embed_pss_in_halfframe(tx, ChannelScenario(timing_offset=100, seed=3))
     config = EngineConfig("mf_opt", oversample=2)
-    start = int(stream.pss_starts[0])
+    root, start = stream.true_root, int(stream.pss_starts[0])
     tol = int(DETECT_TOLERANCE[2])
-    assert _score((5.0, start + tol, 0), config, 1.0, stream)
-    assert not _score((5.0, start + tol + 1, 0), config, 1.0, stream)
-    assert not _score((5.0, start, 1), config, 1.0, stream)  # wrong root
-    assert not _score((0.5, start, 0), config, 1.0, stream)  # under threshold
+    assert _score((5.0, start + tol, 0), config, 1.0, root, start)
+    assert not _score((5.0, start + tol + 1, 0), config, 1.0, root, start)
+    assert not _score((5.0, start, 1), config, 1.0, root, start)  # wrong root
+    assert not _score((0.5, start, 0), config, 1.0, root, start)  # under threshold
 
 
 # ---------------------------------------------------------------------------
