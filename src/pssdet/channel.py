@@ -334,6 +334,16 @@ def read_stream(iq_path) -> RxStream:
                if not isinstance(meta, dict) or k not in meta]
     if missing:
         raise ValueError(f"stream sidecar {side} lacks {', '.join(missing)}")
-    return RxStream(samples=samples, sample_rate_hz=float(meta["sample_rate_hz"]),
-                    true_root=meta["true_root"],
-                    pss_starts=np.asarray(meta["pss_starts"], dtype=np.int64))
+    rate, root, starts = meta["sample_rate_hz"], meta["true_root"], meta["pss_starts"]
+    # JSON values have exact types, so type() keeps bools out of the ints.
+    for key, ok, kind in (
+        ("sample_rate_hz", type(rate) in (int, float), "a number"),
+        ("true_root", root is None or type(root) is int, "an int or null"),
+        ("pss_starts", type(starts) is list and all(type(s) is int for s in starts),
+         "a list of ints"),
+    ):
+        if not ok:
+            raise ValueError(f"stream sidecar {side}: {key} must be {kind}, "
+                             f"got {meta[key]!r}")
+    return RxStream(samples=samples, sample_rate_hz=float(rate), true_root=root,
+                    pss_starts=np.asarray(starts, dtype=np.int64))

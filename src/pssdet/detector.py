@@ -14,15 +14,16 @@ PSS bodies for the matched filters, the conjugated cluster-quantized
 templates for the clustered engine (the per-cluster sums times the
 conjugated means telescope to exactly that product).  The simulation
 therefore evaluates all engines of one rate as one block correlation
-per stream, by overlap-save FFTs against every coefficient column at
-once (:class:`BatchEvaluator`, also behind :func:`detect`).  FFT
-rounding differs from that of a direct sum of products by about 1e-15
-of the largest metric.  The per-engine operation counts are closed-form
-formulas in :func:`pssdet.correlator.bench_ops`, and the reference
-correlators there (brute, symmetry-folded with conjugate-root sharing,
-or K-term clustered accumulation) are verified against these
-correlations in the tests; rerunning them per trial would only slow
-the Monte Carlo down without changing any decision.
+per stream, by one FFT of the stream's own length against every
+coefficient column at once (:class:`BatchEvaluator`, also behind
+:func:`detect`).  FFT rounding differs from that of a direct sum of
+products by about 1e-15 of the largest metric.  The per-engine
+operation counts are closed-form formulas in
+:func:`pssdet.correlator.bench_ops`, and the reference correlators
+there (brute, symmetry-folded with conjugate-root sharing, or K-term
+clustered accumulation) are verified against these correlations in
+the tests; rerunning them per trial would only slow the Monte Carlo
+down without changing any decision.
 
 Thresholds are constant-false-alarm: the (1 - Pfa) quantile of the
 per-attempt maximum metric over noise-only half frames, stored per
@@ -74,7 +75,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import channel as ch
 from .channel import (
@@ -100,10 +100,6 @@ DETECT_TOLERANCE = {1: 4.0, 2: 9.0}
 # FFT and direct metrics differ by about 1e-15 of the largest metric.
 GATE_MARGIN = 1e-9
 
-# Overlap-save block length: each BLOCK-point FFT yields BLOCK - N + 1
-# lags.  512 and 2048 points ran within 15% of 1024; 4096 was slower.
-BLOCK = 1024
-
 # Spawn-key purposes of a run's seed (see the module docstring).
 CALIBRATION, TRIALS = 0, 1
 DEFAULT_PFA = 0.1
@@ -125,37 +121,34 @@ def engine_coefficients(config: EngineConfig) -> np.ndarray:
 
 
 class _RateGroup:
-    """The engines at one oversample factor, evaluated by overlap-save.
+    """The engines at one oversample factor, correlated by one FFT of
+    the stream's own length L.
 
-    The stream is cut into BLOCK-sample segments that overlap by N - 1
-    samples; each segment's circular correlation with a coefficient
-    column is exact for its first BLOCK - N + 1 lags.  All segments go
-    through one FFT, all segment x column products through one inverse
-    FFT.  The buffers are kept for the last stream length seen, so
-    steady runs allocate nothing per stream.
+    Each coefficient column, zero-padded to L, correlates circularly
+    with the stream; that equals the sliding correlation at every lag
+    0 ... L - N, because no window there wraps.  The stream goes
+    through one FFT, all column products through one inverse FFT.  The
+    column spectra and buffers are kept for the last stream length
+    seen, so steady runs allocate nothing per stream.
     """
 
     def __init__(self, config, idx, coef):
         self.decim, self.size_n, self.idx = config.decimation, config.size_n, idx
         self.tolerance = DETECT_TOLERANCE[config.oversample]
-        self.step = BLOCK - self.size_n + 1
-        # Columns x BLOCK, so every transform runs over a contiguous axis.
-        self.spectrum = np.conj(np.fft.fft(np.conj(coef.T), n=BLOCK))
         self.coef = coef
         self.bands = {}
         self.length = None
 
     def _resize(self, length):
         self.length = length
-        self.lags = length - self.size_n + 1
-        segs = math.ceil(self.lags / self.step)
-        self.padded = np.zeros((segs - 1) * self.step + BLOCK, dtype=complex)
-        self.segments = sliding_window_view(self.padded, BLOCK)[::self.step]
-        self.segment_spectra = np.empty((segs, BLOCK), dtype=complex)
-        self.products = np.empty((len(self.spectrum), segs, BLOCK), dtype=complex)
-        # Columns x lags (padded to whole segments): column 3j + r is
-        # engine j's root r, so each engine's three rows are one block.
-        self.metric = np.empty((len(self.spectrum), segs * self.step))
+        # Columns x L, so every transform runs over a contiguous axis.
+        self.spectrum = np.ascontiguousarray(
+            np.conj(np.fft.fft(np.conj(self.coef.T), n=length)))
+        self.products = np.empty(self.spectrum.shape, dtype=complex)
+        # Columns x lags, over the real parts of the products: column
+        # 3j + r is engine j's root r, so each engine's three rows are
+        # one block.
+        self.metric = self.products.real[:, :length - self.size_n + 1]
 
     def evaluate(self, native_samples):
         """Fill the metric buffer for one native-rate stream."""
@@ -165,23 +158,17 @@ class _RateGroup:
                 f"buffer of {len(x)} samples is shorter than N = {self.size_n}")
         if len(x) != self.length:
             self._resize(len(x))
-        self.padded[:len(x)] = x
-        np.fft.fft(self.segments, axis=-1, out=self.segment_spectra)
-        np.multiply(self.segment_spectra, self.spectrum[:, None],
-                    out=self.products)
+        np.multiply(np.fft.fft(x), self.spectrum, out=self.products)
         np.fft.ifft(self.products, axis=-1, out=self.products)
         # |.|^2 of the valid lags: square real and imaginary parts in
-        # place, then add each pair into the metric buffer.
-        parts = self.products.view(float)[:, :, :2 * self.step]
+        # place, then add each pair into the real part.
+        parts = self.products.view(float)[:, :2 * self.metric.shape[1]]
         np.square(parts, out=parts)
-        np.add(parts[..., 0::2], parts[..., 1::2],
-               out=self.metric.reshape(*parts.shape[:2], self.step))
-        # Lags past the last full window correlate with the zero padding.
-        self.metric[:, self.lags:] = -np.inf
+        np.add(self.metric, parts[:, 1::2], out=self.metric)
 
     def values(self, j):
         """Engine j's metric per (lag, root), as a new array."""
-        return self.metric[3 * j:3 * j + 3, :self.lags].T.copy()
+        return self.metric[3 * j:3 * j + 3].T.copy()
 
     def _band(self, root_idx):
         """One root's column of every engine, shifted down one row per
@@ -224,9 +211,10 @@ class BatchEvaluator:
     """Metric evaluation for several engines at once.
 
     Engines at the same oversample factor share one decimated stream,
-    so their coefficient columns share one overlap-save pass per
-    stream: one forward FFT of the stream's segments, one product with
-    the columns' spectra (computed once, here) and one inverse FFT.
+    so their coefficient columns share one pass per stream: one forward
+    FFT of the whole stream, one product with the columns' spectra at
+    that length (computed on the first stream of each length) and one
+    inverse FFT.
     The values equal the sliding-window inner products up to FFT
     rounding, about 1e-15 of the largest metric.  The evaluator reuses
     its buffers from stream to stream, so one instance must not be
@@ -453,12 +441,18 @@ def _trial_chunk(start, stop, *, configs, thresholds, point, seed, p, max_hf):
     return first
 
 
-def _experiment_thresholds(configs, thresholds, trials, pfa,
+def _experiment_thresholds(configs, point, thresholds, trials, pfa,
                            calibration_trials, seed, jobs):
     """Per-engine thresholds, calibrated here at ``seed`` unless
-    supplied.  Callers build (and so validate) their channels first."""
+    supplied.  Callers build (and so validate) their channels first;
+    ``point`` is one, whose tap delays must leave room for the burst."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    burst = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128)).samples
+    limit = HALF_FRAME_LEN - len(burst)
+    if point.delays[-1] > limit:
+        raise ValueError(f"largest tap delay {point.delays[-1]} leaves no room for "
+                         f"the burst in a half frame (at most {limit})")
     _check_seed(seed)
     if thresholds is None:
         thresholds = calibrate_thresholds(
@@ -530,7 +524,7 @@ def pmd_experiment(
     ]
     if not scenarios:
         raise ValueError("the SNR grid is empty")
-    lam = _experiment_thresholds(configs, thresholds, trials, pfa,
+    lam = _experiment_thresholds(configs, scenarios[0], thresholds, trials, pfa,
                                  calibration_trials, base_seed, jobs)
     points = []
     for p, scenario in enumerate(scenarios):
@@ -610,7 +604,7 @@ def acquisition_experiment(
                                cfo_ppm=cfo_ppm, doppler_hz=doppler_hz)
     if max_half_frames < 1:
         raise ValueError("max_half_frames must be at least 1")
-    lam = _experiment_thresholds(configs, thresholds, trials, pfa,
+    lam = _experiment_thresholds(configs, scenario, thresholds, trials, pfa,
                                  calibration_trials, base_seed, jobs)
     chunk = functools.partial(_trial_chunk, configs=configs, thresholds=lam,
                               point=scenario, seed=base_seed, p=0,
@@ -628,19 +622,20 @@ def acquisition_experiment(
     return rows
 
 
+def _sorted_times(results, engine_key: str) -> np.ndarray:
+    """One engine's acquisition times in ms, sorted, censored as +inf."""
+    return np.sort([r.time_ms if not r.censored else np.inf
+                    for r in results if r.engine_key == engine_key])
+
+
 def acquisition_cdf(results, max_half_frames: int = 200):
     """Per-engine CDF rows (engine_key, time_ms, cdf) on the 5 ms grid."""
-    keys = sorted({r.engine_key for r in results})
+    grid = [i * ch.HALF_FRAME_SEC * 1e3 for i in range(1, max_half_frames + 1)]
     rows = []
-    for key in keys:
-        times = np.array([
-            r.time_ms if not r.censored else np.inf
-            for r in results if r.engine_key == key
-        ])
-        n = len(times)
-        for i in range(1, max_half_frames + 1):
-            t_ms = i * ch.HALF_FRAME_SEC * 1e3
-            rows.append((key, t_ms, float(np.count_nonzero(times <= t_ms) / n)))
+    for key in sorted({r.engine_key for r in results}):
+        times = _sorted_times(results, key)
+        counts = np.searchsorted(times, grid, side="right").tolist()
+        rows.extend((key, t_ms, c / len(times)) for t_ms, c in zip(grid, counts))
     return rows
 
 
@@ -651,10 +646,7 @@ def median_time_ci(results, engine_key: str):
     value signals that more than half the trials never acquired.
     Returns (median_ms, lo_ms, hi_ms).
     """
-    times = np.sort(np.array([
-        r.time_ms if not r.censored else np.inf
-        for r in results if r.engine_key == engine_key
-    ]))
+    times = _sorted_times(results, engine_key)
     n = len(times)
     if n == 0:
         raise ValueError(f"no results for engine {engine_key}")
@@ -673,16 +665,9 @@ def median_time_ci(results, engine_key: str):
 # per config set.
 # ---------------------------------------------------------------------------
 
-_BATCH_CACHE: dict[tuple[EngineConfig, ...], BatchEvaluator] = {}
-
-
-def _cached_batch(configs) -> BatchEvaluator:
-    key = tuple(configs)
-    batch = _BATCH_CACHE.get(key)
-    if batch is None:
-        batch = BatchEvaluator(key)
-        _BATCH_CACHE[key] = batch
-    return batch
+@functools.cache
+def _cached_batch(configs: tuple[EngineConfig, ...]) -> BatchEvaluator:
+    return BatchEvaluator(configs)
 
 
 def _chunked(fn, trials, jobs):

@@ -176,5 +176,8 @@ def write_iq(path, samples: np.ndarray) -> None:
 
 
 def read_iq(path) -> np.ndarray:
-    """Read raw IQ written by write_iq."""
+    """Read raw IQ written by write_iq: whole 16-byte samples only."""
+    size = os.path.getsize(path)
+    if size % 16:
+        raise ValueError(f"IQ file {path} holds {size} bytes, not whole 16-byte samples")
     return np.fromfile(path, dtype="<c16")

@@ -396,17 +396,36 @@ def test_stream_reads_sidecar_with_half_frame_len(tmp_path):
     assert len(back.samples) == 9600
 
 
-@pytest.mark.parametrize("meta, missing", [
-    ({}, "sample_rate_hz, true_root, pss_starts"),
-    ({"sample_rate_hz": SAMPLE_RATE_HZ, "true_root": 25}, "pss_starts"),
-], ids=["empty", "no_starts"])
-def test_stream_sidecar_must_hold_every_key(tmp_path, meta, missing):
+_SIDECAR = {"sample_rate_hz": SAMPLE_RATE_HZ, "true_root": 25, "pss_starts": [409]}
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({}, "lacks sample_rate_hz, true_root, pss_starts$"),
+    ({"sample_rate_hz": SAMPLE_RATE_HZ, "true_root": 25}, "lacks pss_starts$"),
+    ({**_SIDECAR, "sample_rate_hz": None}, "sample_rate_hz must be a number"),
+    ({**_SIDECAR, "sample_rate_hz": True}, "sample_rate_hz must be a number"),
+    ({**_SIDECAR, "sample_rate_hz": "1.92e6"}, "sample_rate_hz must be a number"),
+    ({**_SIDECAR, "true_root": 25.0}, "true_root must be an int or null"),
+    ({**_SIDECAR, "true_root": False}, "true_root must be an int or null"),
+    ({**_SIDECAR, "pss_starts": 100}, "pss_starts must be a list of ints"),
+    ({**_SIDECAR, "pss_starts": [409.0]}, "pss_starts must be a list of ints"),
+    ({**_SIDECAR, "pss_starts": [True]}, "pss_starts must be a list of ints"),
+], ids=["empty", "no_starts", "null_rate", "bool_rate", "string_rate", "float_root",
+        "bool_root", "number_starts", "float_starts", "bool_starts"])
+def test_stream_sidecar_must_hold_every_key(tmp_path, meta, message):
     from pssdet import write_iq
 
     path = tmp_path / "partial.iq"
     write_iq(path, np.zeros(16, dtype=complex))
     (tmp_path / "partial.iq.json").write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match=f"lacks {missing}$"):
+    with pytest.raises(ValueError, match=message):
+        read_stream(path)
+
+
+def test_iq_file_must_hold_whole_samples(tmp_path):
+    path = tmp_path / "torn.iq"
+    path.write_bytes(bytes(17))
+    with pytest.raises(ValueError, match="17 bytes"):
         read_stream(path)
 
 

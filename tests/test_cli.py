@@ -294,6 +294,17 @@ def test_detect_command_rejects_other_sample_rates(stored_stream, capsys):
     assert "Hz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("sample_rate_hz", None), ("pss_starts", 100)])
+def test_detect_command_rejects_mistyped_sidecars(stored_stream, capsys, key, value):
+    side = stored_stream + ".json"
+    meta = json.load(open(side))
+    with open(side, "w") as f:
+        json.dump({**meta, key: value}, f)
+    assert main(["detect", "--stream", stored_stream,
+                 "--engine", "mf_opt:os2", "--threshold", "6.0"]) == 1
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 def test_detect_command_self_calibrates(stored_stream, capsys):
     assert main(["detect", "--stream", stored_stream,
                  "--engine", "cluster:k8:os2", "--cal-trials", "100"]) == 0

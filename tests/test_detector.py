@@ -33,7 +33,6 @@ from pssdet import (
 )
 from pssdet.correlator import _windows
 from pssdet.detector import (
-    BLOCK,
     CALIBRATION,
     TRIAL_ROOT,
     TRIALS,
@@ -215,20 +214,16 @@ def _shortest_stream(configs):
 def _batch_and_length(draw):
     configs = tuple(draw(st.lists(st.sampled_from(ENGINE_POOL), min_size=1,
                                   max_size=5, unique=True)))
-    # Past three blocks on the 1x grid too, which keeps every other sample.
-    length = draw(st.integers(_shortest_stream(configs), 6 * BLOCK + 300))
+    length = draw(st.integers(_shortest_stream(configs), 6444))
     return configs, length
-
-
-_OS2_STEP = BLOCK - 128 + 1
 
 
 @settings(deadline=None)
 @given(case=_batch_and_length(), seed=st.integers(0, 2**32 - 1))
 @example(case=((ENGINE_POOL[3],), 128), seed=0)  # exactly N
 @example(case=((ENGINE_POOL[2],), 127), seed=0)  # exactly N after decimation
-@example(case=((ENGINE_POOL[6],), 127 + 2 * _OS2_STEP), seed=1)  # whole segments
 @example(case=(ENGINE_POOL, HALF_FRAME_LEN), seed=2)
+@example(case=(ENGINE_POOL, 4021), seed=3)  # prime at 2x, and 2011 at 1x
 def test_batch_metric_matches_window_products(case, seed):
     configs, length = case
     r = noise(np.random.default_rng(seed), length)
@@ -845,6 +840,7 @@ def test_process_pool_is_capped_at_the_cpu_count(monkeypatch):
 @pytest.mark.parametrize("bad", [
     dict(snr_db=1e6), dict(snr_db=3070.0), dict(snr_db=np.nan),
     dict(fading="rayleigh_jakes"), dict(cfo_ppm=np.inf), dict(trials=0),
+    dict(taps=((0, 0.0), (9500, 0.0))),
 ])
 def test_experiments_validate_before_calibrating(monkeypatch, bad):
     def reached(*args, **kwargs):

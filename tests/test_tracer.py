@@ -64,7 +64,7 @@ def test_traced_round_records_every_expected_span(monkeypatch, tmp_path,
     work = _load(monkeypatch, "workloads").WORKLOADS[workload]
     expected = _load(monkeypatch, "run").EXPECTED_SPANS[workload]
     # Build the engines inside the traced round, as a fresh worker does.
-    monkeypatch.setattr(detector, "_BATCH_CACHE", {})
+    detector._cached_batch.cache_clear()
     argv = work.round_argv(7, 0, str(tmp_path / "round"),
                            thresholds if work.needs_thresholds else None)
     tracer.install()
