@@ -24,7 +24,7 @@ import os
 
 import numpy as np
 
-from .pss import read_iq, write_iq, write_text
+from .pss import PSS_ROOTS, read_iq, write_iq, write_text
 
 HALF_FRAME_SEC = 5e-3
 SAMPLE_RATE_HZ = 1.92e6
@@ -171,28 +171,24 @@ def keyed_rng(seed, *key: int) -> np.random.Generator:
         np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + key))
 
 
-def fill_floor_noise(rng, out, draws):
-    """Fill ``out`` (complex, length L) with circularly symmetric
-    Gaussian noise of variance NOISE_FLOOR_VARIANCE, and return it.
-
-    ``draws`` is a float scratch buffer of length 2L: the first L
-    standard normals become the real parts, the next L the imaginary
-    parts, so the values and the generator state afterwards equal those
-    of two standard_normal(L) calls.
-    """
-    rng.standard_normal(out=draws)
-    out.real = draws[:len(out)]
-    out.imag = draws[len(out):]
-    out *= np.sqrt(NOISE_FLOOR_VARIANCE / 2.0)
-    return out
+def floor_noise(rng, n):
+    """n samples of circularly symmetric Gaussian noise of variance
+    NOISE_FLOOR_VARIANCE: the first n standard normals drawn are the
+    real parts and the next n the imaginary parts, so the values and
+    the generator state after equal those of two standard_normal(n)
+    calls."""
+    noise = np.empty(n, dtype=complex)
+    noise.real, noise.imag = rng.standard_normal((2, n))
+    noise *= np.sqrt(NOISE_FLOOR_VARIANCE / 2.0)
+    return noise
 
 
-def _tap_gains(scenario, rng, num_taps):
+def _tap_gains(scenario, rng):
     """One block-fading draw: complex gain per tap."""
     amps = np.sqrt(scenario.linear_powers)
     if scenario.fading == "static":
         return amps.astype(complex)
-    draw = (rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps))
+    draw = rng.standard_normal(len(amps)) + 1j * rng.standard_normal(len(amps))
     return amps * draw / np.sqrt(2.0)
 
 
@@ -230,7 +226,7 @@ def burst_region(w, scenario: ChannelScenario, *, half_frame: int = 0):
     """
     if half_frame < 0:
         raise ValueError(f"half_frame must be non-negative, got {half_frame}")
-    sym = np.asarray(w.samples, dtype=complex)
+    sym = w.samples
     theta = scenario.timing_offset
     delays = scenario.delays
     n_rx = len(sym) + int(delays[-1])
@@ -254,14 +250,13 @@ def burst_region(w, scenario: ChannelScenario, *, half_frame: int = 0):
             for p, d in zip(scenario.linear_powers, delays)
         ]
     else:
-        gains = _tap_gains(scenario, rng, len(delays))
+        gains = _tap_gains(scenario, rng)
 
     if not np.isfinite(scenario.snr_db):
         region = np.zeros(hi - lo, dtype=complex)
         amp = 1.0
     else:
-        region = fill_floor_noise(rng, np.empty(hi - lo, dtype=complex),
-                                  np.empty(2 * (hi - lo)))
+        region = floor_noise(rng, hi - lo)
         body_power = float(np.mean(np.abs(w.body) ** 2))
         amp = math.sqrt(10.0 ** (scenario.snr_db / 10.0) * NOISE_FLOOR_VARIANCE / body_power)
     burst = amp * sym
@@ -286,23 +281,18 @@ def embed_pss_in_halfframe(w, scenario: ChannelScenario, *, half_frame: int = 0,
     and Jakes fading run on those absolute indices, so consecutive half
     frames are continuous.  The samples around the burst are
     burst_region's ``(lo, samples)``, which a caller that already holds
-    them passes as ``region``; the noise of every other sample comes
-    from the key (HALF_FRAME, i, REST) below scenario.seed, in sample
-    order.  The reported pss_starts holds the symbol body position
-    (after the cyclic prefix) within the half frame.
+    them passes as ``region``, inserted at lo into one floor_noise draw
+    of the other samples from the key (HALF_FRAME, i, REST) below
+    scenario.seed (zeros on a noiseless run).  The reported pss_starts
+    holds the symbol body position (after the cyclic prefix) within
+    the half frame.
     """
     lo, burst = region or burst_region(w, scenario, half_frame=half_frame)
-    hi = lo + len(burst)
     n_rest = HALF_FRAME_LEN - len(burst)
-    samples = np.zeros(HALF_FRAME_LEN, dtype=complex)
-    if np.isfinite(scenario.snr_db):
-        rest = fill_floor_noise(keyed_rng(scenario.seed, HALF_FRAME, half_frame, REST),
-                                np.empty(n_rest, dtype=complex), np.empty(2 * n_rest))
-        samples[:lo] = rest[:lo]
-        samples[hi:] = rest[lo:]
-    samples[lo:hi] = burst
+    rest = (floor_noise(keyed_rng(scenario.seed, HALF_FRAME, half_frame, REST), n_rest)
+            if np.isfinite(scenario.snr_db) else np.zeros(n_rest, dtype=complex))
     return RxStream(
-        samples=samples,
+        samples=np.insert(rest, lo, burst),
         sample_rate_hz=SAMPLE_RATE_HZ,
         true_root=w.root,
         pss_starts=np.array([scenario.timing_offset + w.cp_len], dtype=np.int64),
@@ -345,5 +335,12 @@ def read_stream(iq_path) -> RxStream:
         if not ok:
             raise ValueError(f"stream sidecar {side}: {key} must be {kind}, "
                              f"got {meta[key]!r}")
+    if root is not None and root not in PSS_ROOTS:
+        raise ValueError(f"stream sidecar {side}: true_root must be null or one of "
+                         f"{PSS_ROOTS}, got {root!r}")
+    # Checked as Python ints, before the int64 conversion can overflow.
+    if not all(0 <= s < len(samples) for s in starts):
+        raise ValueError(f"stream sidecar {side}: pss_starts must be sample "
+                         f"indices in [0, {len(samples)}), got {starts!r}")
     return RxStream(samples=samples, sample_rate_hz=float(rate), true_root=root,
                     pss_starts=np.asarray(starts, dtype=np.int64))

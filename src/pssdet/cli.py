@@ -321,32 +321,38 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_pmd(args) -> int:
-    resolved = _resolve(args, also={
-        "snr": lambda v: isinstance(v, list) and all(map(_number, v)),
-        "thresholds": _table})
+def _experiment_inputs(args, also=None):
+    """pmd's and acq's resolved options (thresholds loaded), engines and
+    the experiment keywords they share."""
+    resolved = _resolve(args, also={"thresholds": _table, **(also or {})})
     configs = parse_engines(resolved["engines"])
+    resolved["thresholds"] = _load_thresholds(resolved, configs)
+    shared = dict(
+        trials=resolved["trials"], base_seed=resolved["seed"], pfa=resolved["pfa"],
+        calibration_trials=resolved["cal_trials"], thresholds=resolved["thresholds"],
+        taps=_taps_for(resolved["profile"]), fading=resolved["fading"],
+        cfo_ppm=resolved["ppm"], jobs=resolved["jobs"],
+    )
+    return resolved, configs, shared
+
+
+def _engine_columns(config):
+    """An engine's k and oversample columns (k is 0 for a matched filter)."""
+    return [config.num_clusters or 0, config.oversample]
+
+
+def cmd_pmd(args) -> int:
+    resolved, configs, shared = _experiment_inputs(args, also={
+        "snr": lambda v: isinstance(v, list) and all(map(_number, v))})
     snr_grid = (parse_snr_grid(resolved["snr"])
                 if isinstance(resolved["snr"], str) else
                 [float(s) for s in resolved["snr"]])
     resolved["snr"] = snr_grid
-    resolved["thresholds"] = _load_thresholds(resolved, configs)
-    points = pmd_experiment(
-        configs, snr_grid, trials=resolved["trials"],
-        base_seed=resolved["seed"], pfa=resolved["pfa"],
-        calibration_trials=resolved["cal_trials"],
-        thresholds=resolved["thresholds"],
-        taps=_taps_for(resolved["profile"]), fading=resolved["fading"],
-        cfo_ppm=resolved["ppm"], jobs=resolved["jobs"], verbose=True,
-    )
+    points = pmd_experiment(configs, snr_grid, verbose=True, **shared)
     out_dir = resolved["output_dir"]
-    by_key = {c.key: c for c in configs}
-    rows = [
-        [p.snr_db, p.engine_key, by_key[p.engine_key].num_clusters or 0,
-         by_key[p.engine_key].oversample, p.trials, p.misses, p.pmd, p.ci_lo,
-         p.ci_hi]
-        for p in points
-    ]
+    cols = {c.key: _engine_columns(c) for c in configs}
+    rows = [[p.snr_db, p.engine_key, *cols[p.engine_key], p.trials, p.misses, p.pmd,
+             p.ci_lo, p.ci_hi] for p in points]
     _write_csv(
         os.path.join(out_dir, "pmd.csv"),
         ["snr_db", "engine", "k", "oversample", "trials", "misses",
@@ -359,35 +365,26 @@ def cmd_pmd(args) -> int:
 
 
 def cmd_acq(args) -> int:
-    resolved = _resolve(args, also={"thresholds": _table})
-    configs = parse_engines(resolved["engines"])
-    resolved["thresholds"] = _load_thresholds(resolved, configs)
+    resolved, configs, shared = _experiment_inputs(args)
     results = acquisition_experiment(
-        configs, trials=resolved["trials"], base_seed=resolved["seed"],
-        snr_db=float(resolved["snr"]), cfo_ppm=resolved["ppm"],
-        taps=_taps_for(resolved["profile"]), fading=resolved["fading"],
-        doppler_hz=resolved["doppler_hz"],
-        max_half_frames=resolved["max_half_frames"],
-        thresholds=resolved["thresholds"],
-        pfa=resolved["pfa"], calibration_trials=resolved["cal_trials"],
-        jobs=resolved["jobs"],
+        configs, snr_db=float(resolved["snr"]), doppler_hz=resolved["doppler_hz"],
+        max_half_frames=resolved["max_half_frames"], **shared,
     )
     out_dir = resolved["output_dir"]
-    by_key = {c.key: c for c in configs}
+    ppm = float(resolved["ppm"])
+    cols = {c.key: _engine_columns(c) for c in configs}
     _write_csv(
         os.path.join(out_dir, "acq_results.csv"),
         ["engine", "k", "oversample", "ppm", "trial", "half_frames",
          "time_ms", "censored"],
-        [[r.engine_key, by_key[r.engine_key].num_clusters or 0,
-          by_key[r.engine_key].oversample, float(resolved["ppm"]), r.trial,
-          r.half_frames, r.time_ms, int(r.censored)] for r in results],
+        [[r.engine_key, *cols[r.engine_key], ppm, r.trial, r.half_frames, r.time_ms,
+          int(r.censored)] for r in results],
     )
     cdf_rows = acquisition_cdf(results, resolved["max_half_frames"])
     _write_csv(
         os.path.join(out_dir, "acq_cdf.csv"),
         ["engine", "k", "oversample", "ppm", "time_ms", "cdf"],
-        [[key, by_key[key].num_clusters or 0, by_key[key].oversample,
-          float(resolved["ppm"]), t_ms, cdf] for key, t_ms, cdf in cdf_rows],
+        [[key, *cols[key], ppm, t_ms, cdf] for key, t_ms, cdf in cdf_rows],
     )
     _manifest(out_dir, "acq", resolved)
     print(f"wrote {os.path.join(out_dir, 'acq_results.csv')} and acq_cdf.csv")

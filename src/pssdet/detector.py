@@ -331,13 +331,9 @@ def _check_seed(seed):
 def _calibrate_chunk(start, stop, *, configs, seed):
     batch = _cached_batch(configs)
     out = np.empty((stop - start, len(configs)))
-    # One noise half frame at a time, drawn into buffers the chunk reuses
-    # (peaks copies what it reads).
-    draws = np.empty(2 * HALF_FRAME_LEN)
-    samples = np.empty(HALF_FRAME_LEN, dtype=complex)
     for t in range(start, stop):
         rng = ch.keyed_rng(seed, CALIBRATION, t)
-        peaks = batch.peaks(ch.fill_floor_noise(rng, samples, draws))
+        peaks = batch.peaks(ch.floor_noise(rng, HALF_FRAME_LEN))
         out[t - start] = [p[0] for p in peaks]
     return out
 

@@ -29,7 +29,7 @@ from pssdet.channel import (
     _JakesProcess,
     _tap_gains,
     burst_region,
-    fill_floor_noise,
+    floor_noise,
 )
 
 
@@ -193,7 +193,7 @@ def _per_tap_reference(w, sc, seed, count):
         procs = [_JakesProcess(p, sc.doppler_hz, rays) for p in sc.linear_powers]
     for i in range(count):
         if procs is None:
-            gains = _tap_gains(sc, _keyed(seed, HALF_FRAME, i), len(sc.taps))
+            gains = _tap_gains(sc, _keyed(seed, HALF_FRAME, i))
         for m, d in enumerate(sc.delays):
             n = np.arange(len(w.samples)) + i * 9600 + sc.timing_offset + d
             g = gains[m] if procs is None else procs[m].at(n)
@@ -207,10 +207,13 @@ def _per_tap_reference(w, sc, seed, count):
 ])
 def test_embed_matches_per_tap_reference(fading, doppler_hz):
     w = add_cyclic_prefix(pss_time_domain(25, 128))
-    sc = ChannelScenario(taps=TU6_TAPS, fading=fading, cfo_ppm=5.0,
-                         doppler_hz=doppler_hz, timing_offset=300, seed=17)
-    np.testing.assert_allclose(_half_frames(w, sc, 2),
-                               _per_tap_reference(w, sc, 17, 2), rtol=1e-12)
+    # Offsets 0 and 9453 (9600 - 137 - 10, the last TU6 leaves) clip the
+    # burst region to the half frame's first and last sample.
+    for theta in (300, 0, 9453):
+        sc = ChannelScenario(taps=TU6_TAPS, fading=fading, cfo_ppm=5.0,
+                             doppler_hz=doppler_hz, timing_offset=theta, seed=17)
+        np.testing.assert_allclose(_half_frames(w, sc, 2),
+                                   _per_tap_reference(w, sc, 17, 2), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +223,7 @@ def test_embed_matches_per_tap_reference(fading, doppler_hz):
 def test_block_rayleigh_tap_statistics():
     sc = ChannelScenario(taps=TU6_TAPS, fading="rayleigh_block")
     rng = np.random.default_rng(123)
-    draws = np.stack([_tap_gains(sc, rng, 5) for _ in range(10_000)])
+    draws = np.stack([_tap_gains(sc, rng) for _ in range(10_000)])
     powers = np.mean(np.abs(draws) ** 2, axis=0)
     np.testing.assert_allclose(powers, sc.linear_powers, rtol=0.05)
     assert np.abs(draws.mean(axis=0)).max() < 0.02
@@ -229,7 +232,7 @@ def test_block_rayleigh_tap_statistics():
 def test_static_gains_are_deterministic_amplitudes():
     sc = ChannelScenario(taps=((0, 0.0), (2, -3.0)))
     rng = np.random.default_rng(0)
-    g = _tap_gains(sc, rng, 2)
+    g = _tap_gains(sc, rng)
     np.testing.assert_allclose(g, np.sqrt(sc.linear_powers), atol=1e-15)
 
 
@@ -306,7 +309,7 @@ def test_floor_noise_keeps_the_two_draw_order():
     a, b = np.random.default_rng(5), np.random.default_rng(5)
     want = np.sqrt(NOISE_FLOOR_VARIANCE / 2.0) * (
         a.standard_normal(1000) + 1j * a.standard_normal(1000))
-    got = fill_floor_noise(b, np.empty(1000, dtype=complex), np.empty(2000))
+    got = floor_noise(b, 1000)
     np.testing.assert_array_equal(got, want)
     assert a.bit_generator.state == b.bit_generator.state
 
@@ -410,8 +413,14 @@ _SIDECAR = {"sample_rate_hz": SAMPLE_RATE_HZ, "true_root": 25, "pss_starts": [40
     ({**_SIDECAR, "pss_starts": 100}, "pss_starts must be a list of ints"),
     ({**_SIDECAR, "pss_starts": [409.0]}, "pss_starts must be a list of ints"),
     ({**_SIDECAR, "pss_starts": [True]}, "pss_starts must be a list of ints"),
+    # The file holds 16 samples.
+    ({**_SIDECAR, "true_root": 7}, "true_root must be null or one of"),
+    ({**_SIDECAR, "pss_starts": [2**70]}, r"pss_starts must be sample indices in \[0, 16\)"),
+    ({**_SIDECAR, "pss_starts": [3, -5]}, r"pss_starts must be sample indices in \[0, 16\)"),
+    ({**_SIDECAR, "pss_starts": [16]}, r"pss_starts must be sample indices in \[0, 16\)"),
 ], ids=["empty", "no_starts", "null_rate", "bool_rate", "string_rate", "float_root",
-        "bool_root", "number_starts", "float_starts", "bool_starts"])
+        "bool_root", "number_starts", "float_starts", "bool_starts", "other_root",
+        "huge_start", "negative_start", "start_past_end"])
 def test_stream_sidecar_must_hold_every_key(tmp_path, meta, message):
     from pssdet import write_iq
 

@@ -294,7 +294,8 @@ def test_detect_command_rejects_other_sample_rates(stored_stream, capsys):
     assert "Hz" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("sample_rate_hz", None), ("pss_starts", 100)])
+@pytest.mark.parametrize("key, value", [("sample_rate_hz", None), ("pss_starts", 100),
+                                        ("pss_starts", [2**70])])
 def test_detect_command_rejects_mistyped_sidecars(stored_stream, capsys, key, value):
     side = stored_stream + ".json"
     meta = json.load(open(side))
