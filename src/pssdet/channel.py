@@ -11,13 +11,13 @@ scales the signal amplitude to the requested SNR, so that a detection
 threshold calibrated once on noise-only streams stays valid across
 every SNR point of a Monte Carlo run.
 
-The rate (1.92 MHz, the only one the detector scores), the 2 GHz
-carrier behind ppm CFO values and the TU6 taps are constants.
+The rate (1.92 MHz, the only one a stream has), the 2 GHz carrier
+behind ppm CFO values and the TU6 taps are constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 import math
 import os
@@ -54,6 +54,13 @@ TU6_DELAYS_US = (0.0, 0.2, 0.5, 1.6, 2.3, 5.0)
 TU6_POWERS_DB = (-3.0, 0.0, -2.0, -6.0, -8.0, -10.0)
 
 
+def _whole(name, value) -> int:
+    """``value`` as an int; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ChannelScenario:
     """One reproducible channel draw.
@@ -68,7 +75,8 @@ class ChannelScenario:
     must be finite and at most MAX_SNR_DB, or +inf for noiseless runs;
     ``cfo_ppm`` and ``doppler_hz`` must be finite.  ``timing_offset``
     is theta in samples.  ``seed`` is the trial's SeedSequence; a
-    non-negative int s stands for SeedSequence(s).
+    non-negative int s stands for SeedSequence(s).  Delays, offsets and
+    int seeds must be ints (numpy integers included, bools not).
     """
 
     taps: tuple = ((0, 0.0),)
@@ -80,9 +88,10 @@ class ChannelScenario:
     seed: np.random.SeedSequence | int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, np.random.SeedSequence) and self.seed < 0:
+        if (not isinstance(self.seed, np.random.SeedSequence)
+                and _whole("seed", self.seed) < 0):
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        taps = tuple((int(d), float(p)) for d, p in self.taps)
+        taps = tuple((_whole("tap delays", d), float(p)) for d, p in self.taps)
         if not taps:
             raise ValueError("scenario needs at least one tap")
         delays = [d for d, _ in taps]
@@ -113,7 +122,7 @@ class ChannelScenario:
             raise ValueError(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
         if self.fading == "rayleigh_jakes" and self.doppler_hz <= 0:
             raise ValueError("rayleigh_jakes fading needs doppler_hz > 0")
-        if self.timing_offset < 0:
+        if _whole("timing_offset", self.timing_offset) < 0:
             raise ValueError("timing_offset must be non-negative")
         object.__setattr__(self, "taps", taps)
 
@@ -152,12 +161,12 @@ TU6_TAPS = merge_taps(
 
 @dataclass(frozen=True)
 class RxStream:
-    """A received sample stream plus the ground truth for scoring."""
+    """A received sample stream at SAMPLE_RATE_HZ plus the ground truth
+    for scoring: the transmitted root and the body start of each burst."""
 
     samples: np.ndarray
-    sample_rate_hz: float
     true_root: int | None = None
-    pss_starts: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
+    pss_starts: tuple = ()
 
 
 def keyed_rng(seed, *key: int) -> np.random.Generator:
@@ -293,9 +302,8 @@ def embed_pss_in_halfframe(w, scenario: ChannelScenario, *, half_frame: int = 0,
             if np.isfinite(scenario.snr_db) else np.zeros(n_rest, dtype=complex))
     return RxStream(
         samples=np.insert(rest, lo, burst),
-        sample_rate_hz=SAMPLE_RATE_HZ,
         true_root=w.root,
-        pss_starts=np.array([scenario.timing_offset + w.cp_len], dtype=np.int64),
+        pss_starts=(scenario.timing_offset + w.cp_len,),
     )
 
 
@@ -306,9 +314,9 @@ def embed_pss_in_halfframe(w, scenario: ChannelScenario, *, half_frame: int = 0,
 def write_stream(stream: RxStream, iq_path) -> None:
     write_iq(iq_path, stream.samples)
     meta = {
-        "sample_rate_hz": stream.sample_rate_hz,
+        "sample_rate_hz": SAMPLE_RATE_HZ,
         "true_root": stream.true_root,
-        "pss_starts": [int(s) for s in stream.pss_starts],
+        "pss_starts": list(stream.pss_starts),
     }
     write_text(f"{iq_path}.json", json.dumps(meta, indent=2) + "\n")
 
@@ -317,7 +325,7 @@ def read_stream(iq_path) -> RxStream:
     samples = read_iq(iq_path)
     side = f"{iq_path}.json"
     if not os.path.exists(side):
-        return RxStream(samples=samples, sample_rate_hz=SAMPLE_RATE_HZ)
+        return RxStream(samples=samples)
     with open(side) as f:
         meta = json.load(f)
     missing = [k for k in ("sample_rate_hz", "true_root", "pss_starts")
@@ -335,12 +343,13 @@ def read_stream(iq_path) -> RxStream:
         if not ok:
             raise ValueError(f"stream sidecar {side}: {key} must be {kind}, "
                              f"got {meta[key]!r}")
+    if rate != SAMPLE_RATE_HZ:
+        raise ValueError(f"stream sidecar {side}: sample_rate_hz must be "
+                         f"{SAMPLE_RATE_HZ:g} Hz, got {rate:g} Hz")
     if root is not None and root not in PSS_ROOTS:
         raise ValueError(f"stream sidecar {side}: true_root must be null or one of "
                          f"{PSS_ROOTS}, got {root!r}")
-    # Checked as Python ints, before the int64 conversion can overflow.
     if not all(0 <= s < len(samples) for s in starts):
         raise ValueError(f"stream sidecar {side}: pss_starts must be sample "
                          f"indices in [0, {len(samples)}), got {starts!r}")
-    return RxStream(samples=samples, sample_rate_hz=float(rate), true_root=root,
-                    pss_starts=np.asarray(starts, dtype=np.int64))
+    return RxStream(samples=samples, true_root=root, pss_starts=tuple(starts))

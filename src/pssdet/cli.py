@@ -124,7 +124,8 @@ def parse_snr_grid(text: str) -> list[float]:
             raise CliError(f"snr range needs a finite start, stop and step, got {text!r}")
         if step <= 0:
             raise CliError("snr step must be positive")
-        count = int(round((stop - start) / step)) + 1
+        # The tolerance keeps a stop that lies on the grid (0:0.3:0.1).
+        count = math.floor((stop - start) / step + 1e-9) + 1
         return [round(start + i * step, 10) for i in range(count)]
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -173,8 +174,9 @@ def _fits(value, default) -> bool:
 
 def _resolve(args: argparse.Namespace, also=None) -> dict:
     """Merge the command's OPTIONS defaults, config file and explicit
-    flags, in that order.  ``also`` maps keys to checks for config forms
-    their flags lack."""
+    flags, in that order.  A config's ``command`` key, if any, must name
+    this command.  ``also`` maps keys to checks for config forms their
+    flags lack."""
     also = also or {}
     defaults = OPTIONS[args.command]
     resolved = dict(defaults)
@@ -189,6 +191,9 @@ def _resolve(args: argparse.Namespace, also=None) -> dict:
             raise CliError("config file must hold a JSON object")
         for key, value in loaded.items():
             if key == "command":
+                if value != args.command:
+                    raise CliError(f"config key 'command' must be {args.command!r}, "
+                                   f"got {value!r}")
                 continue
             if key not in defaults:
                 raise CliError(f"unknown config key {key!r}")

@@ -79,7 +79,6 @@ import numpy as np
 from . import channel as ch
 from .channel import (
     HALF_FRAME_LEN,
-    SAMPLE_RATE_HZ,
     ChannelScenario,
     RxStream,
     burst_region,
@@ -92,8 +91,8 @@ from .pss import PSS_ROOTS, add_cyclic_prefix, pss_time_domain
 # Every Monte Carlo trial transmits this root.
 TRIAL_ROOT = 25
 
-# Acceptance window around the true body start, in engine-grid samples
-# (about half the cyclic prefix either side).
+# Acceptance window around the true body start, in engine-grid samples:
+# one cyclic prefix (CP_LENGTH of the engine's FFT size) either side.
 DETECT_TOLERANCE = {1: 4.0, 2: 9.0}
 
 # Relative margin of the trial loop's gate (see the module docstring):
@@ -293,11 +292,6 @@ def detect(stream: RxStream, config: EngineConfig, threshold: float) -> Detectio
     to fall within the engine's tolerance of the nearest true body
     start (converted to the engine's sample grid).
     """
-    if stream.sample_rate_hz != SAMPLE_RATE_HZ:
-        raise ValueError(
-            f"detect needs a {SAMPLE_RATE_HZ:g} Hz stream, "
-            f"got {stream.sample_rate_hz:g} Hz"
-        )
     if math.isnan(threshold):
         raise ValueError(f"NaN threshold for {config.key}")
     peak = _cached_batch((config,)).peaks(stream.samples)[0]
@@ -305,7 +299,7 @@ def detect(stream: RxStream, config: EngineConfig, threshold: float) -> Detectio
 
     correct = None
     if stream.true_root is not None and len(stream.pss_starts):
-        correct = any(_score(peak, config, threshold, stream.true_root, int(s))
+        correct = any(_score(peak, config, threshold, stream.true_root, s)
                       for s in stream.pss_starts)
 
     return DetectionResult(

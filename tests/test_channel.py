@@ -95,6 +95,21 @@ def test_scenario_validation():
         ChannelScenario(fading="rayleigh_jakes")  # doppler missing
     with pytest.raises(ValueError):
         ChannelScenario(timing_offset=-1)
+    # Delays, offsets and int seeds are whole numbers: no float is
+    # truncated and no bool or string stands for one.
+    for field, kwargs in [("tap delays", dict(taps=((0, 0.0), (2.7, -3.0)))),
+                          ("tap delays", dict(taps=((0, 0.0), (True, -3.0)))),
+                          ("tap delays", dict(taps=(("3", 0.0),))),
+                          ("timing_offset", dict(timing_offset=300.5)),
+                          ("timing_offset", dict(timing_offset=True)),
+                          ("seed", dict(seed=1.5)),
+                          ("seed", dict(seed=True)),
+                          ("seed", dict(seed="3"))]:
+        with pytest.raises(ValueError, match=field):
+            ChannelScenario(**kwargs)
+    # numpy integers are ints.
+    ChannelScenario(taps=((np.int64(0), 0.0),), timing_offset=np.int64(5),
+                    seed=np.uint32(7))
     # +inf SNR means noiseless; NaN and -inf have no meaning, and past
     # 300 dB the burst amplitude overflows or the metric turns NaN.
     ChannelScenario(snr_db=300.0)
@@ -154,7 +169,7 @@ def test_timing_offset_places_burst():
                                atol=1e-15)
     trace = mf_correlate(stream.samples, pss_time_domain(25, 128), "sliding")
     assert int(np.argmax(trace)) == 50 + 9
-    assert stream.pss_starts.tolist() == [50 + 9]
+    assert stream.pss_starts == (50 + 9,)
 
 
 def test_cfo_applies_phase_ramp():
@@ -378,9 +393,11 @@ def test_stream_round_trip(tmp_path):
     back = read_stream(path)
     np.testing.assert_array_equal(back.samples, stream.samples)
     assert back.true_root == 34
-    np.testing.assert_array_equal(back.pss_starts, stream.pss_starts)
-    assert back.sample_rate_hz == stream.sample_rate_hz
-    assert "half_frame_len" not in json.loads((tmp_path / "capture.iq.json").read_text())
+    assert back.pss_starts == stream.pss_starts == (400 + 9,)
+    side = (tmp_path / "capture.iq.json").read_text()
+    assert '"sample_rate_hz": 1920000.0,' in side
+    assert json.loads(side) == {"sample_rate_hz": 1.92e6, "true_root": 34,
+                                "pss_starts": [409]}
 
 
 def test_stream_reads_sidecar_with_half_frame_len(tmp_path):
@@ -394,8 +411,7 @@ def test_stream_reads_sidecar_with_half_frame_len(tmp_path):
         "pss_starts": [409], "half_frame_len": 9600}))
     back = read_stream(path)
     assert back.true_root == 29
-    assert back.pss_starts.tolist() == [409]
-    assert back.sample_rate_hz == SAMPLE_RATE_HZ
+    assert back.pss_starts == (409,)
     assert len(back.samples) == 9600
 
 
@@ -408,6 +424,8 @@ _SIDECAR = {"sample_rate_hz": SAMPLE_RATE_HZ, "true_root": 25, "pss_starts": [40
     ({**_SIDECAR, "sample_rate_hz": None}, "sample_rate_hz must be a number"),
     ({**_SIDECAR, "sample_rate_hz": True}, "sample_rate_hz must be a number"),
     ({**_SIDECAR, "sample_rate_hz": "1.92e6"}, "sample_rate_hz must be a number"),
+    ({**_SIDECAR, "sample_rate_hz": 30.72e6}, "sample_rate_hz must be 1.92e[+]06 Hz, "
+                                              "got 3.072e[+]07 Hz"),
     ({**_SIDECAR, "true_root": 25.0}, "true_root must be an int or null"),
     ({**_SIDECAR, "true_root": False}, "true_root must be an int or null"),
     ({**_SIDECAR, "pss_starts": 100}, "pss_starts must be a list of ints"),
@@ -418,9 +436,9 @@ _SIDECAR = {"sample_rate_hz": SAMPLE_RATE_HZ, "true_root": 25, "pss_starts": [40
     ({**_SIDECAR, "pss_starts": [2**70]}, r"pss_starts must be sample indices in \[0, 16\)"),
     ({**_SIDECAR, "pss_starts": [3, -5]}, r"pss_starts must be sample indices in \[0, 16\)"),
     ({**_SIDECAR, "pss_starts": [16]}, r"pss_starts must be sample indices in \[0, 16\)"),
-], ids=["empty", "no_starts", "null_rate", "bool_rate", "string_rate", "float_root",
-        "bool_root", "number_starts", "float_starts", "bool_starts", "other_root",
-        "huge_start", "negative_start", "start_past_end"])
+], ids=["empty", "no_starts", "null_rate", "bool_rate", "string_rate", "other_rate",
+        "float_root", "bool_root", "number_starts", "float_starts", "bool_starts",
+        "other_root", "huge_start", "negative_start", "start_past_end"])
 def test_stream_sidecar_must_hold_every_key(tmp_path, meta, message):
     from pssdet import write_iq
 
@@ -445,5 +463,4 @@ def test_stream_without_sidecar_gets_defaults(tmp_path):
     write_iq(path, np.zeros(16, dtype=complex))
     back = read_stream(path)
     assert back.true_root is None
-    assert len(back.pss_starts) == 0
-    assert back.sample_rate_hz == SAMPLE_RATE_HZ
+    assert back.pss_starts == ()

@@ -63,6 +63,10 @@ def test_parse_engines():
 def test_parse_snr_grid():
     assert parse_snr_grid("-12:0:2") == [-12, -10, -8, -6, -4, -2, 0]
     assert parse_snr_grid("-8,-6.5, -4") == [-8.0, -6.5, -4.0]
+    # A range never runs past its stop; a stop on the grid is kept.
+    assert parse_snr_grid("0:1:0.6") == [0.0, 0.6]
+    assert parse_snr_grid("-12:0:7") == [-12.0, -5.0]
+    assert parse_snr_grid("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.3]
     with pytest.raises(CliError):
         parse_snr_grid("1:2")
     with pytest.raises(CliError):
@@ -294,6 +298,16 @@ def test_detect_command_rejects_other_sample_rates(stored_stream, capsys):
     assert "Hz" in capsys.readouterr().err
 
 
+def test_detect_command_rejects_other_sample_rates_before_calibrating(
+        stored_stream, capsys, no_calibration):
+    side = stored_stream + ".json"
+    meta = json.load(open(side))
+    with open(side, "w") as f:
+        json.dump({**meta, "sample_rate_hz": 30.72e6}, f)
+    assert main(["detect", "--stream", stored_stream, "--engine", "mf_opt:os2"]) == 1
+    assert "sample_rate_hz must be 1.92e+06 Hz" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("sample_rate_hz", None), ("pss_starts", 100),
                                         ("pss_starts", [2**70])])
 def test_detect_command_rejects_mistyped_sidecars(stored_stream, capsys, key, value):
@@ -461,6 +475,17 @@ def test_repeated_engine_exits_1_and_writes_nothing(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_config_of_another_command_is_refused(tmp_path, capsys):
+    cal = tmp_path / "cal"
+    assert main(["calibrate", "--engines", "mf_opt:os1", "--trials", "100",
+                 "--output-dir", str(cal)]) == 0
+    capsys.readouterr()
+    written = {p.name: p.read_bytes() for p in cal.iterdir()}
+    assert main(["pmd", "--config", str(cal / "manifest.json")]) == 1
+    assert "config key 'command' must be 'pmd', got 'calibrate'" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in cal.iterdir()} == written
+
+
 @pytest.mark.parametrize("command, config", [
     ("calibrate", {"trials": "10"}),
     ("calibrate", {"seed": True}),
@@ -473,6 +498,10 @@ def test_repeated_engine_exits_1_and_writes_nothing(tmp_path, capsys, argv):
     ("acq", {"max_half_frames": 4.0}),
     ("pmd", {"thresholds": {"mf_opt_os2": float("nan")}}),
     ("pmd", {"thresholds": {"mf_opt_os2": 10**400}}),
+    # A config names no command or the one it is given to.
+    ("pmd", {"command": "acq"}),
+    ("acq", {"command": None}),
+    ("calibrate", {"command": 5}),
 ])
 def test_config_values_must_have_the_flag_type(tmp_path, capsys, no_calibration,
                                                command, config):
