@@ -308,6 +308,9 @@ def cmd_calibrate(args) -> int:
 def cmd_detect(args) -> int:
     stream = read_stream(args.stream)
     config = parse_engine_spec(args.engine)
+    if len(stream.samples[::config.decimation]) < config.size_n:
+        raise CliError(f"stream of {len(stream.samples)} samples holds no full "
+                       f"{config.size_n}-sample window of {config.key}")
     if args.threshold is not None:
         lam = args.threshold
     else:

@@ -149,21 +149,80 @@ class _RateGroup:
         # one block.
         self.metric = self.products.real[:, :length - self.size_n + 1]
 
-    def evaluate(self, native_samples):
-        """Fill the metric buffer for one native-rate stream."""
+    def _forward(self, native_samples):
+        """The spectrum of one native-rate stream on the engine grid."""
         x = np.asarray(native_samples)[::self.decim]
         if len(x) < self.size_n:
             raise ValueError(
                 f"buffer of {len(x)} samples is shorter than N = {self.size_n}")
         if len(x) != self.length:
             self._resize(len(x))
-        np.multiply(np.fft.fft(x), self.spectrum, out=self.products)
-        np.fft.ifft(self.products, axis=-1, out=self.products)
+        return np.fft.fft(x)
+
+    def _inverse(self, rows):
+        """Inverse-transform the leading ``rows`` products in one batch;
+        return their metric rows (a view of the buffer)."""
+        head = self.products[:rows]
+        np.fft.ifft(head, axis=-1, out=head)
         # |.|^2 of the valid lags: square real and imaginary parts in
         # place, then add each pair into the real part.
-        parts = self.products.view(float)[:, :2 * self.metric.shape[1]]
+        parts = head.view(float)[:, :2 * self.metric.shape[1]]
         np.square(parts, out=parts)
-        np.add(self.metric, parts[:, 1::2], out=self.metric)
+        metric = self.metric[:rows]
+        np.add(metric, parts[:, 1::2], out=metric)
+        return metric
+
+    def _columns(self, spectrum, columns):
+        """The metric of the given coefficient columns, in that order:
+        each product lands in a leading row of the buffer, so no
+        spectrum-sized copy is made."""
+        for k, c in enumerate(columns):
+            np.multiply(spectrum, self.spectrum[c], out=self.products[k])
+        return self._inverse(len(columns))
+
+    def evaluate(self, native_samples):
+        """Fill the metric buffer for one native-rate stream."""
+        np.multiply(self._forward(native_samples), self.spectrum, out=self.products)
+        self._inverse(len(self.products))
+
+    def detections(self, native_samples, start, root_idx, thresholds):
+        """Per engine j: ``peak(j)`` if it detects root ``root_idx`` at
+        native body start ``start`` (metric above ``thresholds[j]``, lag
+        within the tolerance), else None; None also where
+        ``thresholds[j]`` is None, and then nothing of engine j is
+        computed.
+
+        Stage 1 transforms root ``root_idx``'s column of each asked
+        engine and takes its earliest argmax.  Only an engine whose
+        column peak is above its threshold and inside the window goes on
+        to stage 2, which transforms its two other columns: the peak is
+        then the engine's own unless another root's maximum beats it,
+        where a tie goes to the lower root as in ``peak``.  Rows
+        transform bit-identically alone or in a batch, so every
+        decision is the full pass's.
+        """
+        out = [None] * len(self.idx)
+        asked = [j for j, lam in enumerate(thresholds) if lam is not None]
+        if not asked:
+            return out
+        spectrum = self._forward(native_samples)
+        metric = self._columns(spectrum, [3 * j + root_idx for j in asked])
+        lags = metric.argmax(axis=1)
+        values = metric.max(axis=1)
+        lam = np.array([thresholds[j] for j in asked])
+        near = np.abs(start / self.decim - lags) <= self.tolerance
+        passed = np.flatnonzero((values > lam) & near)
+        if not len(passed):
+            return out
+        others = [r for r in range(3) if r != root_idx]
+        rivals = self._columns(spectrum, [3 * asked[k] + r for k in passed
+                                          for r in others])
+        rivals = rivals.max(axis=1).reshape(len(passed), len(others))
+        peak = values[passed, None]
+        wins = np.where(np.array(others) < root_idx, rivals < peak, rivals <= peak)
+        for k in passed[wins.all(axis=1)]:
+            out[asked[k]] = float(values[k]), int(lags[k]), root_idx
+        return out
 
     def values(self, j):
         """Engine j's metric per (lag, root), as a new array."""
@@ -243,9 +302,26 @@ class BatchEvaluator:
         """Per engine: metric values per (lag on the engine grid, root)."""
         return self._per_engine(native_samples, _RateGroup.values)
 
-    def peaks(self, native_samples: np.ndarray):
-        """Per engine: (metric, lag on the engine grid, root index)."""
-        return self._per_engine(native_samples, _RateGroup.peak)
+    def peaks(self, native_samples: np.ndarray, *, start=None, root_idx=0,
+              thresholds=None):
+        """Per engine: (metric, lag on the engine grid, root index).
+
+        With per-engine ``thresholds`` the pass only decides detection
+        of root ``root_idx`` at native body start ``start``: an engine
+        gets its peak if that detects (as ``_score`` rules) and None
+        otherwise, and an engine whose threshold is None is not
+        evaluated at all (see ``_RateGroup.detections``).  A rate group
+        with no such engine is skipped, forward FFT included.
+        """
+        if thresholds is None:
+            return self._per_engine(native_samples, _RateGroup.peak)
+        out = [None] * len(self.configs)
+        for group in self._groups:
+            found = group.detections(native_samples, start, root_idx,
+                                     [thresholds[i] for i in group.idx])
+            for i, peak in zip(group.idx, found):
+                out[i] = peak
+        return out
 
     def window_peaks(self, native_samples: np.ndarray, start, root_idx: int):
         """Per engine: the largest metric of root ``root_idx`` over the
@@ -419,13 +495,15 @@ def _trial_chunk(start, stop, *, configs, thresholds, point, seed, p, max_hf):
                 break
             lo, region = burst_region(tx, scen, half_frame=i)
             near = batch.window_peaks(region, body - lo, root_idx)
-            if all(d or v <= g for d, v, g in zip(done, near, gates)):
+            asked = [None if d or v <= g else lam
+                     for d, v, g, lam in zip(done, near, gates, thresholds)]
+            if all(lam is None for lam in asked):
                 continue
             peaks = batch.peaks(embed_pss_in_halfframe(
-                tx, scen, half_frame=i, region=(lo, region)).samples)
-            for e, config in enumerate(configs):
-                if not done[e] and _score(peaks[e], config, thresholds[e],
-                                          TRIAL_ROOT, body):
+                tx, scen, half_frame=i, region=(lo, region)).samples,
+                start=body, root_idx=root_idx, thresholds=asked)
+            for e, peak in enumerate(peaks):
+                if peak is not None:
                     done[e] = i + 1
         first[t - start] = done
     return first

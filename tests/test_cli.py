@@ -24,6 +24,7 @@ from pssdet.cli import (
     parse_engines,
     parse_snr_grid,
 )
+from pssdet.channel import RxStream
 from pssdet.clustering import root_tables
 
 
@@ -306,6 +307,20 @@ def test_detect_command_rejects_other_sample_rates_before_calibrating(
         json.dump({**meta, "sample_rate_hz": 30.72e6}, f)
     assert main(["detect", "--stream", stored_stream, "--engine", "mf_opt:os2"]) == 1
     assert "sample_rate_hz must be 1.92e+06 Hz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engine, length", [("mf_opt:os2", 50), ("mf_opt:os2", 127),
+                                            ("mf_opt:os1", 126)])
+def test_detect_command_rejects_short_streams_before_calibrating(
+        tmp_path, capsys, no_calibration, engine, length):
+    path = str(tmp_path / "short.iq")
+    write_stream(RxStream(samples=np.ones(length, dtype=complex)), path)
+    assert main(["detect", "--stream", path, "--engine", engine]) == 1
+    assert f"stream of {length} samples holds no full" in capsys.readouterr().err
+    # One more sample gives the engine its one window.
+    write_stream(RxStream(samples=np.ones(length + 1, dtype=complex)), path)
+    assert main(["detect", "--stream", path, "--engine", engine,
+                 "--threshold", "1.0"]) == (1 if length == 50 else 0)
 
 
 @pytest.mark.parametrize("key, value", [("sample_rate_hz", None), ("pss_starts", 100),

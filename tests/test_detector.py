@@ -314,12 +314,28 @@ def _chunk_args(thresholds, point, seed, max_hf):
 
 
 def _full_trial_chunk(kwargs, trials):
-    """The trial loop with the gate always open: every half frame gets
-    the full pass."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BatchEvaluator, "window_peaks",
-                   lambda self, *args: np.full(len(self.configs), np.inf))
-        return _trial_chunk(0, trials, **kwargs)
+    """A reference trial loop with no gate and no selective pass: every
+    visited half frame is drawn whole, gets the full pass and is scored
+    by ``_score`` for each engine still searching."""
+    configs, thresholds = kwargs["configs"], kwargs["thresholds"]
+    batch = BatchEvaluator(configs)
+    tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
+    first = np.zeros((trials, len(configs)), dtype=np.int64)
+    for t in range(trials):
+        trial = np.random.SeedSequence(kwargs["seed"],
+                                       spawn_key=(TRIALS, kwargs["p"], t))
+        scen = _trial_scenario(trial, kwargs["point"], len(tx.samples))
+        body = scen.timing_offset + tx.cp_len
+        done = first[t]
+        for i in range(kwargs["max_hf"]):
+            if done.all():
+                break
+            peaks = batch.peaks(embed_pss_in_halfframe(tx, scen, half_frame=i).samples)
+            for e, config in enumerate(configs):
+                if not done[e] and _score(peaks[e], config, thresholds[e],
+                                          TRIAL_ROOT, body):
+                    done[e] = i + 1
+    return first
 
 
 def _channel_point(fading, cfo_ppm, snr_db):
@@ -355,7 +371,7 @@ def test_gate_skips_half_frames_that_cannot_score(monkeypatch, mixed_thresholds)
     calls = []
     peaks = BatchEvaluator.peaks
     monkeypatch.setattr(BatchEvaluator, "peaks",
-                        lambda self, x: calls.append(1) or peaks(self, x))
+                        lambda self, x, **kw: calls.append(1) or peaks(self, x, **kw))
     first = _trial_chunk(0, 4, **kwargs)
     np.testing.assert_array_equal(first, full)
     assert first.any()
@@ -425,7 +441,7 @@ def test_gated_out_half_frames_never_draw_their_rest_noise(monkeypatch,
                         lambda seed, *key: log.append(key) or keyed(seed, *key))
     peaks = BatchEvaluator.peaks
     monkeypatch.setattr(BatchEvaluator, "peaks",
-                        lambda self, x: log.append("pass") or peaks(self, x))
+                        lambda self, x, **kw: log.append("pass") or peaks(self, x, **kw))
     first = _trial_chunk(0, 4, **kwargs)
     passes = log.count("pass")
     rest = [k for k, key in enumerate(log) if key[2:] == (REST,)]
@@ -439,6 +455,79 @@ def test_gated_out_half_frames_never_draw_their_rest_noise(monkeypatch,
     visited = [row.max() if row.all() else 30 for row in first]
     assert regions == [(HALF_FRAME, i) for n in visited for i in range(n)]
     assert passes < (len(regions) - passes) / 2
+
+
+def test_trial_loop_transforms_at_most_half_the_columns(monkeypatch,
+                                                        mixed_thresholds):
+    # The chunk of test_gate_skips_half_frames_that_cannot_score: on each
+    # half frame the gate passes, the full pass would inverse-transform
+    # all three columns of every engine.
+    point = _channel_point("rayleigh_block", 5.0, -5.0)
+    kwargs = _chunk_args(mixed_thresholds, point, 16, 30)
+    full = _full_trial_chunk(kwargs, 4)
+    rows, passes = [], []
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft",
+                        lambda a, *args, **kw: rows.append(len(a)) or ifft(a, *args, **kw))
+    peaks = BatchEvaluator.peaks
+    monkeypatch.setattr(BatchEvaluator, "peaks",
+                        lambda self, x, **kw: passes.append(1) or peaks(self, x, **kw))
+    np.testing.assert_array_equal(_trial_chunk(0, 4, **kwargs), full)
+    assert passes
+    assert sum(rows) <= len(passes) * 3 * len(MIXED) / 2
+
+
+@pytest.mark.parametrize("root_idx", [0, 1, 2])
+def test_selective_pass_breaks_exact_ties_like_the_full_pass(root_idx):
+    # On an all-zero stream every root ties at every lag, so with a
+    # negative threshold the full pass peaks at root 25, lag 0, and
+    # detects exactly where the true start is within tolerance of lag 0.
+    batch = BatchEvaluator(MIXED)
+    zeros = np.zeros(HALF_FRAME_LEN, dtype=complex)
+    full = batch.peaks(zeros)
+    assert full == [(0.0, 0, 0)] * len(MIXED)
+    lam = [-1.0] * len(MIXED)
+    for start in range(30):
+        got = batch.peaks(zeros, start=start, root_idx=root_idx, thresholds=lam)
+        for config, g, p in zip(MIXED, got, full):
+            near = start / config.decimation <= DETECT_TOLERANCE[config.oversample]
+            detects = root_idx == 0 and near
+            assert _score(p, config, -1.0, PSS_ROOTS[root_idx], start) == detects
+            assert g == (p if detects else None)
+
+
+@settings(deadline=None)
+@given(case=_batch_and_length(), root_idx=st.integers(0, 2),
+       tx_root_idx=st.integers(0, 2), amplitude=st.floats(0.0, 2.0),
+       offset=st.integers(-25, 25), scale=st.floats(0.0, 1.2),
+       asked=st.lists(st.booleans(), min_size=7, max_size=7),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=(ENGINE_POOL, HALF_FRAME_LEN), root_idx=0, tx_root_idx=0,
+         amplitude=1.0, offset=3, scale=0.5, asked=[True] * 7, seed=0)
+def test_selective_peaks_decide_like_the_full_pass(case, root_idx, tx_root_idx,
+                                                   amplitude, offset, scale,
+                                                   asked, seed):
+    # A burst of one root in noise, a true start near it and thresholds
+    # below and above each engine's peak: an asked engine gets its full
+    # peak exactly when _score accepts that peak, and None otherwise.
+    configs, length = case
+    rng = np.random.default_rng(seed)
+    r = noise(rng, length)
+    body = pss_time_domain(PSS_ROOTS[tx_root_idx], 128).body
+    pos = int(rng.integers(0, max(length - len(body), 0) + 1))
+    burst = amplitude * body[:length - pos]
+    r[pos:pos + len(burst)] += burst
+    start = max(pos + offset, 0)
+    batch = BatchEvaluator(configs)
+    full = batch.peaks(r)
+    lam = [p[0] * scale if a else None for p, a in zip(full, asked)]
+    got = batch.peaks(r, start=start, root_idx=root_idx, thresholds=lam)
+    for config, g, p, threshold in zip(configs, got, full, lam):
+        if threshold is None:
+            assert g is None
+        else:
+            detects = _score(p, config, threshold, PSS_ROOTS[root_idx], start)
+            assert g == (p if detects else None)
 
 
 # ---------------------------------------------------------------------------
