@@ -33,16 +33,29 @@ serves every SNR point.
 
 Both experiments run one trial loop, which finds each engine's first
 correctly detecting half frame up to a cap.  Pmd is the share of
-trials with none when the cap is one half frame.  The loop runs the
-full pass only on half frames where some engine can still be correct:
-a correct detection needs the true root's metric above the threshold
-within the tolerance window around the true start, so a gate first
-reads that window by direct inner products
-(:meth:`BatchEvaluator.window_peaks`, at most 19 windows per rate)
-and skips the pass when every engine still searching stays at or
-below threshold * (1 - GATE_MARGIN).  GATE_MARGIN = 1e-9 is six orders
-wider than the FFT/direct rounding gap, so the gate never skips a half
-frame the full pass would have scored, and outputs do not change.
+trials with none when the cap is one half frame.  A correct detection
+is the engine's global maximum, on the true root, within the tolerance
+window around the true start and above the threshold, so the loop
+transforms only the columns that can decide one:
+  - A gate first reads the true root's metric over that window by
+    direct inner products (:meth:`BatchEvaluator.window_peaks`, at most
+    19 windows per rate).  An engine is in play when it is still
+    searching and its window maximum exceeds threshold * (1 -
+    GATE_MARGIN); GATE_MARGIN = 1e-9 is six orders wider than the
+    FFT/direct rounding gap, so no engine that would score is left out.
+    With no engine in play the half frame gets no pass at all.
+  - Stage 1 inverse-transforms the true root's column of each engine
+    in play, one batch per rate: the engine can only detect if that
+    column's earliest maximum is above the threshold and within the
+    window.
+  - Stage 2 transforms the other two roots' columns of just those
+    engines: the engine detects unless one of them is larger.  Exact
+    ties go to the lowest root, then the earliest lag, as in the full
+    pass, and a row transforms bit-identically alone or in a batch, so
+    the decisions and every output equal those of a full pass.
+:func:`detect` and calibration read every column of every engine;
+``BatchEvaluator.metric_values`` (over ``_RateGroup.values``) remains
+the full view of the metric that the tests check everything against.
 
 Each experiment builds one ChannelScenario per SNR point, which
 validates it before any calibration; every trial is a copy of it made
@@ -126,9 +139,13 @@ class _RateGroup:
     Each coefficient column, zero-padded to L, correlates circularly
     with the stream; that equals the sliding correlation at every lag
     0 ... L - N, because no window there wraps.  The stream goes
-    through one FFT, all column products through one inverse FFT.  The
-    column spectra and buffers are kept for the last stream length
-    seen, so steady runs allocate nothing per stream.
+    through one FFT.  The full pass (``evaluate``) puts all column
+    products through one inverse FFT; the trial loop's pass
+    (``detections``) puts the products of the columns it selects by
+    (engine, root) into the leading rows of the same buffer and
+    inverse-transforms those, in at most two batches.  The column
+    spectra and buffers are kept for the last stream length seen, so
+    steady runs allocate nothing per stream.
     """
 
     def __init__(self, config, idx, coef):
@@ -186,20 +203,18 @@ class _RateGroup:
         self._inverse(len(self.products))
 
     def detections(self, native_samples, start, root_idx, thresholds):
-        """Per engine j: ``peak(j)`` if it detects root ``root_idx`` at
-        native body start ``start`` (metric above ``thresholds[j]``, lag
-        within the tolerance), else None; None also where
-        ``thresholds[j]`` is None, and then nothing of engine j is
-        computed.
+        """Per engine j: ``peak(j)`` if that detects root ``root_idx`` at
+        native body start ``start`` (above ``thresholds[j]``, within the
+        tolerance), else None.  Engines whose threshold is None are
+        skipped.
 
-        Stage 1 transforms root ``root_idx``'s column of each asked
-        engine and takes its earliest argmax.  Only an engine whose
-        column peak is above its threshold and inside the window goes on
-        to stage 2, which transforms its two other columns: the peak is
-        then the engine's own unless another root's maximum beats it,
-        where a tie goes to the lower root as in ``peak``.  Rows
-        transform bit-identically alone or in a batch, so every
-        decision is the full pass's.
+        Stage 1 transforms root ``root_idx``'s column of each engine
+        asked; stage 2 transforms the other two columns only of the
+        engines whose stage-1 peak (earliest argmax) is above threshold
+        and in the window.  Such an engine detects unless another
+        root's maximum beats its peak; a tie goes to the lower root, as
+        in ``peak``.  Rows transform bit-identically alone or in a
+        batch, so each decision is the full pass's.
         """
         out = [None] * len(self.idx)
         asked = [j for j, lam in enumerate(thresholds) if lam is not None]
@@ -272,12 +287,14 @@ class BatchEvaluator:
     so their coefficient columns share one pass per stream: one forward
     FFT of the whole stream, one product with the columns' spectra at
     that length (computed on the first stream of each length) and one
-    inverse FFT.
+    inverse FFT.  ``peaks`` with thresholds runs the trial loop's
+    two-stage pass instead (``_RateGroup.detections``).
     The values equal the sliding-window inner products up to FFT
-    rounding, about 1e-15 of the largest metric.  The evaluator reuses
-    its buffers from stream to stream, so one instance must not be
-    shared between threads; ``metric_values`` returns arrays the caller
-    owns.
+    rounding, about 1e-15 of the largest metric.  ``metric_values`` is
+    the tests' full view of the metric; no run reads it.  The evaluator
+    reuses its buffers from stream to stream, so one instance must not
+    be shared between threads; ``metric_values`` returns arrays the
+    caller owns.
     """
 
     def __init__(self, configs):
@@ -306,12 +323,11 @@ class BatchEvaluator:
               thresholds=None):
         """Per engine: (metric, lag on the engine grid, root index).
 
-        With per-engine ``thresholds`` the pass only decides detection
-        of root ``root_idx`` at native body start ``start``: an engine
-        gets its peak if that detects (as ``_score`` rules) and None
-        otherwise, and an engine whose threshold is None is not
-        evaluated at all (see ``_RateGroup.detections``).  A rate group
-        with no such engine is skipped, forward FFT included.
+        With per-engine ``thresholds`` only the engines whose threshold
+        is not None are evaluated, and each gets its peak if that
+        detects root ``root_idx`` at native body start ``start`` (as
+        ``_score`` rules), else None (``_RateGroup.detections``).  A
+        rate group with no such engine is skipped, forward FFT included.
         """
         if thresholds is None:
             return self._per_engine(native_samples, _RateGroup.peak)
@@ -478,7 +494,8 @@ def _trial_chunk(start, stop, *, configs, thresholds, point, seed, p, max_hf):
     rest of the half frame is never drawn.  Otherwise
     ``embed_pss_in_halfframe`` completes the half frame around the
     region the gate read, drawing the rest from its own key, so the
-    random draws do not depend on what is scored.
+    random draws do not depend on what is scored, and the two-stage
+    pass of ``BatchEvaluator.peaks`` decides the engines still in play.
     """
     batch = _cached_batch(configs)
     tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
