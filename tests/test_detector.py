@@ -498,22 +498,26 @@ def test_selective_pass_breaks_exact_ties_like_the_full_pass(root_idx):
 
 @settings(deadline=None)
 @given(case=_batch_and_length(), root_idx=st.integers(0, 2),
-       tx_root_idx=st.integers(0, 2), amplitude=st.floats(0.0, 2.0),
-       offset=st.integers(-25, 25), scale=st.floats(0.0, 1.2),
+       tx_root_idx=st.integers(0, 2), amplitude=st.floats(0.0, 1.0),
+       offset=st.integers(-12, 12), scale=st.floats(0.0, 1.2),
        asked=st.lists(st.booleans(), min_size=7, max_size=7),
        seed=st.integers(0, 2**32 - 1))
 @example(case=(ENGINE_POOL, HALF_FRAME_LEN), root_idx=0, tx_root_idx=0,
-         amplitude=1.0, offset=3, scale=0.5, asked=[True] * 7, seed=0)
+         amplitude=1.0, offset=3, scale=0.5, asked=[True] * 7, seed=0)  # all detect
+@example(case=(ENGINE_POOL, 2000), root_idx=0, tx_root_idx=1, amplitude=1.0,
+         offset=-8, scale=0.0, asked=[True] * 7, seed=3)  # root 29 wins stage 2
 def test_selective_peaks_decide_like_the_full_pass(case, root_idx, tx_root_idx,
                                                    amplitude, offset, scale,
                                                    asked, seed):
-    # A burst of one root in noise, a true start near it and thresholds
-    # below and above each engine's peak: an asked engine gets its full
-    # peak exactly when _score accepts that peak, and None otherwise.
+    # A burst of one root in noise (amplitude per sample against the
+    # unit noise floor), a true start near it and thresholds below and
+    # above each engine's peak: an asked engine gets its full peak
+    # exactly when _score accepts that peak, and None otherwise.
     configs, length = case
     rng = np.random.default_rng(seed)
     r = noise(rng, length)
     body = pss_time_domain(PSS_ROOTS[tx_root_idx], 128).body
+    body = body / np.sqrt(np.mean(np.abs(body) ** 2))
     pos = int(rng.integers(0, max(length - len(body), 0) + 1))
     burst = amplitude * body[:length - pos]
     r[pos:pos + len(burst)] += burst
