@@ -34,6 +34,8 @@ NOISE_FLOOR_VARIANCE = 1.0
 # Above this the signal amplitude overflows or the metric turns NaN.
 MAX_SNR_DB = 300.0
 JAKES_RAYS = 16
+# A CFO of half the sample rate or more aliases: 480 ppm of CARRIER_HZ.
+MAX_CFO_PPM = SAMPLE_RATE_HZ / 2 / CARRIER_HZ * 1e6
 
 FADING_MODES = ("static", "rayleigh_block", "rayleigh_jakes")
 
@@ -73,7 +75,8 @@ class ChannelScenario:
     ``linear_powers`` normalizes them to sum to one, so a copy made with
     ``dataclasses.replace`` has exactly the same channel.  ``snr_db``
     must be finite and at most MAX_SNR_DB, or +inf for noiseless runs;
-    ``cfo_ppm`` and ``doppler_hz`` must be finite.  ``timing_offset``
+    ``cfo_ppm`` and ``doppler_hz`` must be finite, and the CFO must lie
+    strictly within +-MAX_CFO_PPM (half the sample rate).  ``timing_offset``
     is theta in samples.  ``seed`` is the trial's SeedSequence; a
     non-negative int s stands for SeedSequence(s).  Delays, offsets and
     int seeds must be ints (numpy integers included, bools not).
@@ -117,6 +120,12 @@ class ChannelScenario:
             raise ValueError(
                 f"cfo_ppm and doppler_hz must be finite, "
                 f"got {self.cfo_ppm} and {self.doppler_hz}"
+            )
+        if not abs(self.cfo_ppm) < MAX_CFO_PPM:
+            raise ValueError(
+                f"cfo_ppm must lie strictly within +-{MAX_CFO_PPM:g} ppm (half the "
+                f"{SAMPLE_RATE_HZ:g} Hz sample rate at a {CARRIER_HZ:g} Hz "
+                f"carrier), got {self.cfo_ppm}"
             )
         if self.fading not in FADING_MODES:
             raise ValueError(f"fading must be one of {FADING_MODES}, got {self.fading!r}")
@@ -192,10 +201,10 @@ def floor_noise(rng, n):
     return noise
 
 
-def _tap_gains(scenario, rng):
-    """One block-fading draw: complex gain per tap."""
-    amps = np.sqrt(scenario.linear_powers)
-    if scenario.fading == "static":
+def _tap_gains(amps, fading, rng):
+    """One block-fading draw: complex gain per tap, whose mean power is
+    amps**2 (the static gains are the amplitudes themselves)."""
+    if fading == "static":
         return amps.astype(complex)
     draw = rng.standard_normal(len(amps)) + 1j * rng.standard_normal(len(amps))
     return amps * draw / np.sqrt(2.0)
@@ -222,7 +231,41 @@ class _JakesProcess:
         ).sum(axis=1)
 
 
-def burst_region(w, scenario: ChannelScenario, *, half_frame: int = 0):
+@dataclass(frozen=True)
+class BurstPlan:
+    """What burst_region needs of one trial that no half frame changes:
+    the region's bounds [lo, hi), the tap delays, the tap amplitudes
+    sqrt(linear_powers) and the burst scaled to the SNR.  A trial loop
+    builds it once (``burst_plan``) and passes it to every half frame."""
+
+    lo: int
+    hi: int
+    delays: np.ndarray
+    amps: np.ndarray
+    burst: np.ndarray
+
+
+def burst_plan(w, scenario: ChannelScenario) -> BurstPlan:
+    """The BurstPlan of waveform ``w`` under ``scenario``."""
+    theta = scenario.timing_offset
+    delays = scenario.delays
+    n_rx = len(w.samples) + int(delays[-1])
+    if theta + n_rx > HALF_FRAME_LEN:
+        raise ValueError(
+            f"timing_offset {theta} leaves no room for the symbol in a "
+            f"{HALF_FRAME_LEN}-sample half frame"
+        )
+    amp = 1.0
+    if np.isfinite(scenario.snr_db):
+        body_power = float(np.mean(np.abs(w.body) ** 2))
+        amp = math.sqrt(10.0 ** (scenario.snr_db / 10.0) * NOISE_FLOOR_VARIANCE / body_power)
+    return BurstPlan(lo=max(theta - BURST_PAD, 0) // 2 * 2,
+                     hi=min(theta + n_rx + BURST_PAD, HALF_FRAME_LEN),
+                     delays=delays, amps=np.sqrt(scenario.linear_powers),
+                     burst=amp * w.samples)
+
+
+def burst_region(w, scenario: ChannelScenario, *, half_frame: int = 0, plan=None):
     """(lo, region): native samples [lo, lo + len(region)) of half frame
     ``half_frame``, exactly as embed_pss_in_halfframe synthesizes them.
 
@@ -231,21 +274,14 @@ def burst_region(w, scenario: ChannelScenario, *, half_frame: int = 0):
     half frame's decimation phase, to BURST_PAD samples past the last
     tap's copy of the burst, both clipped to the half frame.  Its
     generator is keyed (HALF_FRAME, i) below scenario.seed and draws
-    the block-fading tap gains first, then the region's noise.
+    the block-fading tap gains first, then the region's noise.  ``plan``
+    is ``burst_plan(w, scenario)``, built here when not given.
     """
     if half_frame < 0:
         raise ValueError(f"half_frame must be non-negative, got {half_frame}")
-    sym = w.samples
-    theta = scenario.timing_offset
-    delays = scenario.delays
-    n_rx = len(sym) + int(delays[-1])
-    if theta + n_rx > HALF_FRAME_LEN:
-        raise ValueError(
-            f"timing_offset {theta} leaves no room for the symbol in a "
-            f"{HALF_FRAME_LEN}-sample half frame"
-        )
-    lo = max(theta - BURST_PAD, 0) // 2 * 2
-    hi = min(theta + n_rx + BURST_PAD, HALF_FRAME_LEN)
+    plan = plan or burst_plan(w, scenario)
+    theta, delays, burst = scenario.timing_offset, plan.delays, plan.burst
+    n_rx = len(burst) + int(delays[-1])
     rng = keyed_rng(scenario.seed, HALF_FRAME, half_frame)
 
     # One burst of n_rx samples: the taps' gains times the burst,
@@ -255,27 +291,23 @@ def burst_region(w, scenario: ChannelScenario, *, half_frame: int = 0):
     if scenario.fading == "rayleigh_jakes":
         rays = keyed_rng(scenario.seed, JAKES)
         gains = [
-            _JakesProcess(p, scenario.doppler_hz, rays).at(idx[d: d + len(sym)])
+            _JakesProcess(p, scenario.doppler_hz, rays).at(idx[d: d + len(burst)])
             for p, d in zip(scenario.linear_powers, delays)
         ]
     else:
-        gains = _tap_gains(scenario, rng)
+        gains = _tap_gains(plan.amps, scenario.fading, rng)
 
-    if not np.isfinite(scenario.snr_db):
-        region = np.zeros(hi - lo, dtype=complex)
-        amp = 1.0
+    if np.isfinite(scenario.snr_db):
+        region = floor_noise(rng, plan.hi - plan.lo)
     else:
-        region = floor_noise(rng, hi - lo)
-        body_power = float(np.mean(np.abs(w.body) ** 2))
-        amp = math.sqrt(10.0 ** (scenario.snr_db / 10.0) * NOISE_FLOOR_VARIANCE / body_power)
-    burst = amp * sym
+        region = np.zeros(plan.hi - plan.lo, dtype=complex)
     rx = np.zeros(n_rx, dtype=complex)
     for gain, d in zip(gains, delays):
         rx[d: d + len(burst)] += gain * burst
     if scenario.cfo_hz:
         rx *= np.exp(2j * np.pi * scenario.cfo_hz * idx / SAMPLE_RATE_HZ)
-    region[theta - lo: theta - lo + n_rx] += rx
-    return lo, region
+    region[theta - plan.lo: theta - plan.lo + n_rx] += rx
+    return plan.lo, region
 
 
 def embed_pss_in_halfframe(w, scenario: ChannelScenario, *, half_frame: int = 0,

@@ -44,10 +44,18 @@ transforms only the columns that can decide one:
     GATE_MARGIN); GATE_MARGIN = 1e-9 is six orders wider than the
     FFT/direct rounding gap, so no engine that would score is left out.
     With no engine in play the half frame gets no pass at all.
+  - On a channel with a nonzero CFO, which moves the correlation peak
+    (51 native samples early at 5 ppm), a local check comes next: one
+    2N-point FFT per rate of the 2N samples from N/2 before the true
+    start gives the true root's metric at every lag within N/2 of it,
+    and an engine whose largest lag there outside the window beats the
+    largest inside by more than GATE_MARGIN is dropped, since its
+    global maximum cannot lie in the window.  A rate group left with
+    no engine skips its forward FFT of the stream.
   - Stage 1 inverse-transforms the true root's column of each engine
-    in play, one batch per rate: the engine can only detect if that
-    column's earliest maximum is above the threshold and within the
-    window.
+    still in play, one batch per rate: the engine can only detect if
+    that column's earliest maximum is above the threshold and within
+    the window.
   - Stage 2 transforms the other two roots' columns of just those
     engines: the engine detects unless one of them is larger.  Exact
     ties go to the lowest root, then the earliest lag, as in the full
@@ -94,6 +102,7 @@ from .channel import (
     HALF_FRAME_LEN,
     ChannelScenario,
     RxStream,
+    burst_plan,
     burst_region,
     embed_pss_in_halfframe,
 )
@@ -145,7 +154,9 @@ class _RateGroup:
     (engine, root) into the leading rows of the same buffer and
     inverse-transforms those, in at most two batches.  The column
     spectra and buffers are kept for the last stream length seen, so
-    steady runs allocate nothing per stream.
+    steady runs allocate nothing per stream.  The trial loop's local
+    check (``_local_check``) correlates just 2N samples the same way,
+    against the column spectra at 2N points, built on its first use.
     """
 
     def __init__(self, config, idx, coef):
@@ -202,14 +213,18 @@ class _RateGroup:
         np.multiply(self._forward(native_samples), self.spectrum, out=self.products)
         self._inverse(len(self.products))
 
-    def detections(self, native_samples, start, root_idx, thresholds):
+    def detections(self, native_samples, start, root_idx, thresholds,
+                   local_check=False):
         """Per engine j: ``peak(j)`` if that detects root ``root_idx`` at
         native body start ``start`` (above ``thresholds[j]``, within the
         tolerance), else None.  Engines whose threshold is None are
         skipped.
 
+        With ``local_check``, ``_local_check`` first drops the engines
+        whose metric within N/2 lags of the start already peaks outside
+        the window; with no engine left the stream is not transformed.
         Stage 1 transforms root ``root_idx``'s column of each engine
-        asked; stage 2 transforms the other two columns only of the
+        left; stage 2 transforms the other two columns only of the
         engines whose stage-1 peak (earliest argmax) is above threshold
         and in the window.  Such an engine detects unless another
         root's maximum beats its peak; a tie goes to the lower root, as
@@ -218,6 +233,8 @@ class _RateGroup:
         """
         out = [None] * len(self.idx)
         asked = [j for j, lam in enumerate(thresholds) if lam is not None]
+        if local_check and asked:
+            asked = self._local_check(native_samples, start, root_idx, asked)
         if not asked:
             return out
         spectrum = self._forward(native_samples)
@@ -238,6 +255,41 @@ class _RateGroup:
         for k in passed[wins.all(axis=1)]:
             out[asked[k]] = float(values[k]), int(lags[k]), root_idx
         return out
+
+    @functools.cached_property
+    def _local_spectrum(self):
+        """Every coefficient column's spectrum at 2N points."""
+        return np.conj(np.fft.fft(np.conj(self.coef.T), n=2 * self.size_n))
+
+    def _local_check(self, native_samples, start, root_idx, asked):
+        """The engines of ``asked`` whose root ``root_idx`` metric near
+        native body start ``start`` does not rule out a detection there.
+
+        The 2N engine-grid samples from N/2 before the start (clipped to
+        the stream) go through one 2N-point FFT; against each engine's
+        column spectrum at 2N they give its metric at the N + 1 lags
+        those samples hold in full, every lag within N/2 of the start.
+        An engine is dropped when the largest of those lags outside the
+        tolerance window, times (1 - GATE_MARGIN), beats the largest
+        inside: the column's global maximum then lies outside the
+        window, so the engine cannot detect.  GATE_MARGIN is six orders
+        wider than the FFT rounding gap, so ties and near-ties stay for
+        stage 1 to decide.
+        """
+        x = np.asarray(native_samples)[::self.decim]
+        n = self.size_n
+        if len(x) < 2 * n:
+            return asked
+        center = start / self.decim
+        lo = min(max(math.floor(center) - n // 2, 0), len(x) - 2 * n)
+        columns = self._local_spectrum[[3 * j + root_idx for j in asked]]
+        corr = np.fft.ifft(np.fft.fft(x[lo:lo + 2 * n]) * columns, axis=-1)
+        metric = np.abs(corr[:, :n + 1]) ** 2
+        near = np.abs(center - np.arange(lo, lo + n + 1)) <= self.tolerance
+        inside = metric[:, near].max(axis=1, initial=-np.inf)
+        outside = metric[:, ~near].max(axis=1)
+        return [j for j, out, ins in zip(asked, outside, inside)
+                if not out * (1.0 - GATE_MARGIN) > ins]
 
     def values(self, j):
         """Engine j's metric per (lag, root), as a new array."""
@@ -320,21 +372,26 @@ class BatchEvaluator:
         return self._per_engine(native_samples, _RateGroup.values)
 
     def peaks(self, native_samples: np.ndarray, *, start=None, root_idx=0,
-              thresholds=None):
+              thresholds=None, local_check=False):
         """Per engine: (metric, lag on the engine grid, root index).
 
         With per-engine ``thresholds`` only the engines whose threshold
         is not None are evaluated, and each gets its peak if that
         detects root ``root_idx`` at native body start ``start`` (as
-        ``_score`` rules), else None (``_RateGroup.detections``).  A
-        rate group with no such engine is skipped, forward FFT included.
+        ``_score`` rules), else None (``_RateGroup.detections``).
+        ``local_check`` first rules out, by one 2N-point correlation per
+        rate, the engines whose metric peaks outside the tolerance
+        window within N/2 lags of the start; the trial loop asks for it
+        when the channel has a CFO.  A rate group with no engine left is
+        skipped, forward FFT included.
         """
         if thresholds is None:
             return self._per_engine(native_samples, _RateGroup.peak)
         out = [None] * len(self.configs)
         for group in self._groups:
             found = group.detections(native_samples, start, root_idx,
-                                     [thresholds[i] for i in group.idx])
+                                     [thresholds[i] for i in group.idx],
+                                     local_check)
             for i, peak in zip(group.idx, found):
                 out[i] = peak
         return out
@@ -495,22 +552,26 @@ def _trial_chunk(start, stop, *, configs, thresholds, point, seed, p, max_hf):
     ``embed_pss_in_halfframe`` completes the half frame around the
     region the gate read, drawing the rest from its own key, so the
     random draws do not depend on what is scored, and the two-stage
-    pass of ``BatchEvaluator.peaks`` decides the engines still in play.
+    pass of ``BatchEvaluator.peaks`` decides the engines still in play,
+    after its local check when the channel has a nonzero CFO.  The
+    trial's ``burst_plan`` is built once and serves every half frame.
     """
     batch = _cached_batch(configs)
     tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
     root_idx = PSS_ROOTS.index(TRIAL_ROOT)
     gates = [lam * (1.0 - GATE_MARGIN) for lam in thresholds]
+    shifted = point.cfo_hz != 0.0
     first = np.zeros((stop - start, len(configs)), dtype=np.int64)
     for t in range(start, stop):
         trial = np.random.SeedSequence(seed, spawn_key=(TRIALS, p, t))
         scen = _trial_scenario(trial, point, len(tx.samples))
         body = scen.timing_offset + tx.cp_len
+        plan = burst_plan(tx, scen)
         done = [0] * len(configs)
         for i in range(max_hf):
             if all(done):
                 break
-            lo, region = burst_region(tx, scen, half_frame=i)
+            lo, region = burst_region(tx, scen, half_frame=i, plan=plan)
             near = batch.window_peaks(region, body - lo, root_idx)
             asked = [None if d or v <= g else lam
                      for d, v, g, lam in zip(done, near, gates, thresholds)]
@@ -518,7 +579,8 @@ def _trial_chunk(start, stop, *, configs, thresholds, point, seed, p, max_hf):
                 continue
             peaks = batch.peaks(embed_pss_in_halfframe(
                 tx, scen, half_frame=i, region=(lo, region)).samples,
-                start=body, root_idx=root_idx, thresholds=asked)
+                start=body, root_idx=root_idx, thresholds=asked,
+                local_check=shifted)
             for e, peak in enumerate(peaks):
                 if peak is not None:
                     done[e] = i + 1

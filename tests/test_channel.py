@@ -18,6 +18,7 @@ from pssdet import (
 )
 from pssdet.channel import (
     BURST_PAD,
+    CARRIER_HZ,
     HALF_FRAME,
     JAKES,
     NOISE_FLOOR_VARIANCE,
@@ -127,6 +128,17 @@ def test_cfo_conversion():
     assert abs(sc.cfo_hz - 10e3) < 1e-9
 
 
+def test_cfo_must_stay_below_half_the_sample_rate():
+    # 480 ppm of the 2 GHz carrier is half of 1.92 MHz: from there on the
+    # ramp aliases, and 1e300 ppm turns it NaN.
+    assert abs(480e-6 * CARRIER_HZ - SAMPLE_RATE_HZ / 2) < 1e-6
+    for ppm in (479.99, -479.99, 0.0):
+        ChannelScenario(cfo_ppm=ppm)
+    for ppm in (480.0, -480.0, 1000.0, -1e300, 1e300):
+        with pytest.raises(ValueError, match=r"cfo_ppm must lie strictly within \+-480 ppm"):
+            ChannelScenario(cfo_ppm=ppm)
+
+
 def test_tu6_profile_quantization():
     # 1.92 samples per microsecond.
     taps = [(int(round(d * 1.92)), p) for d, p in zip(TU6_DELAYS_US, TU6_POWERS_DB)]
@@ -208,7 +220,8 @@ def _per_tap_reference(w, sc, seed, count):
         procs = [_JakesProcess(p, sc.doppler_hz, rays) for p in sc.linear_powers]
     for i in range(count):
         if procs is None:
-            gains = _tap_gains(sc, _keyed(seed, HALF_FRAME, i))
+            gains = _tap_gains(np.sqrt(sc.linear_powers), sc.fading,
+                               _keyed(seed, HALF_FRAME, i))
         for m, d in enumerate(sc.delays):
             n = np.arange(len(w.samples)) + i * 9600 + sc.timing_offset + d
             g = gains[m] if procs is None else procs[m].at(n)
@@ -238,7 +251,8 @@ def test_embed_matches_per_tap_reference(fading, doppler_hz):
 def test_block_rayleigh_tap_statistics():
     sc = ChannelScenario(taps=TU6_TAPS, fading="rayleigh_block")
     rng = np.random.default_rng(123)
-    draws = np.stack([_tap_gains(sc, rng) for _ in range(10_000)])
+    amps = np.sqrt(sc.linear_powers)
+    draws = np.stack([_tap_gains(amps, sc.fading, rng) for _ in range(10_000)])
     powers = np.mean(np.abs(draws) ** 2, axis=0)
     np.testing.assert_allclose(powers, sc.linear_powers, rtol=0.05)
     assert np.abs(draws.mean(axis=0)).max() < 0.02
@@ -247,7 +261,7 @@ def test_block_rayleigh_tap_statistics():
 def test_static_gains_are_deterministic_amplitudes():
     sc = ChannelScenario(taps=((0, 0.0), (2, -3.0)))
     rng = np.random.default_rng(0)
-    g = _tap_gains(sc, rng)
+    g = _tap_gains(np.sqrt(sc.linear_powers), sc.fading, rng)
     np.testing.assert_allclose(g, np.sqrt(sc.linear_powers), atol=1e-15)
 
 

@@ -460,8 +460,10 @@ def no_calibration(monkeypatch):
     (["--snr", "-4,3070"], None),
     (["--snr=,"], None),
     (["--snr", "5:1:1"], None),
+    (["--ppm", "1e300"], None),
+    ([], {"ppm": -480}),
 ], ids=["jakes_flag", "jakes_config", "snr_1e6", "snr_3070", "snr_empty_list",
-        "snr_empty_range"])
+        "snr_empty_range", "ppm_1e300", "ppm_-480_config"])
 def test_pmd_rejects_bad_channels_before_calibrating(tmp_path, capsys,
                                                      no_calibration, argv, config):
     out = tmp_path / "out"
@@ -473,6 +475,16 @@ def test_pmd_rejects_bad_channels_before_calibrating(tmp_path, capsys,
         args += ["--config", str(cfg)]
     assert main(args) == 1
     assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ppm", ["1e300", "1000", "480"])
+def test_acq_rejects_aliasing_cfo_before_calibrating(tmp_path, capsys, no_calibration,
+                                                     ppm):
+    out = tmp_path / "out"
+    assert main(["acq", "--engines", "mf_opt:os2", "--trials", "2", "--ppm", ppm,
+                 "--output-dir", str(out)]) == 1
+    assert "within +-480 ppm" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -348,7 +348,7 @@ def _channel_point(fading, cfo_ppm, snr_db):
 
 @settings(deadline=None, max_examples=12)
 @given(fading=st.sampled_from(["static", "rayleigh_block", "rayleigh_jakes"]),
-       cfo_ppm=st.sampled_from([0.0, 5.0]), snr_db=st.floats(-12.0, 0.0),
+       cfo_ppm=st.sampled_from([0.0, 5.0, -5.0, 4.0]), snr_db=st.floats(-12.0, 0.0),
        cap=st.sampled_from([1, 30]), seed=st.integers(0, 2**32))
 @example(fading="static", cfo_ppm=0.0, snr_db=-12.0, cap=30, seed=0)
 @example(fading="rayleigh_block", cfo_ppm=5.0, snr_db=-5.0, cap=30, seed=1)
@@ -477,6 +477,73 @@ def test_trial_loop_transforms_at_most_half_the_columns(monkeypatch,
     assert sum(rows) <= len(passes) * 3 * len(MIXED) / 2
 
 
+def _pass_transforms(monkeypatch, kwargs):
+    """Run one trial chunk; per two-stage pass, the lengths of the 1-D
+    forward FFTs it ran (the stream's, or the local check's 2N points)."""
+    passes = []
+    fft = np.fft.fft
+
+    def counting(a, *args, **kw):
+        out = fft(a, *args, **kw)
+        if passes and out.ndim == 1:
+            passes[-1].append(len(out))
+        return out
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    peaks = BatchEvaluator.peaks
+    monkeypatch.setattr(BatchEvaluator, "peaks",
+                        lambda self, x, **kw: passes.append([]) or peaks(self, x, **kw))
+    _trial_chunk(0, 4, **kwargs)
+    return passes
+
+
+@pytest.mark.parametrize("cfo_ppm", [0.0, 5.0])
+def test_local_check_skips_most_full_length_transforms(monkeypatch, mixed_thresholds,
+                                                       cfo_ppm):
+    # The chunk of test_gate_skips_half_frames_that_cannot_score.  At
+    # 5 ppm the peak mostly sits 51 native samples early, which the
+    # 2N-point local check sees, so most passes never transform the
+    # stream; at 0 ppm the trial loop does not run the check.
+    point = _channel_point("rayleigh_block", cfo_ppm, -5.0)
+    passes = _pass_transforms(monkeypatch, _chunk_args(mixed_thresholds, point, 16, 30))
+    assert passes
+    local = [n for lengths in passes for n in lengths if n in (128, 256)]
+    full = [lengths for lengths in passes if HALF_FRAME_LEN in lengths
+            or HALF_FRAME_LEN // 2 in lengths]
+    if cfo_ppm:
+        assert local
+        assert len(full) <= len(passes) / 2
+    else:
+        assert not local
+
+
+def test_local_check_leaves_exact_ties_to_stage_1():
+    # A 40-sample block tiled over the stream makes the metric repeat
+    # every 40 native lags, so every lag's value recurs outside the
+    # tolerance window up to FFT rounding.  With thresholds below each
+    # window maximum the local check must leave those near-ties to
+    # stage 1, and the selective pass must decide as the full pass.
+    r = np.tile(noise(np.random.default_rng(40), 40), HALF_FRAME_LEN // 40)
+    batch = BatchEvaluator(MIXED)
+    full = batch.peaks(r)
+    starts = {s for p, c in zip(full, MIXED)
+              for s in range(p[1] * c.decimation - 30, p[1] * c.decimation + 30)}
+    starts = sorted(s for s in starts | set(range(0, HALF_FRAME_LEN, 97)) if s >= 0)
+    detected = set()
+    for root_idx in range(3):
+        for start in starts:
+            lam = list(0.5 * batch.window_peaks(r, start, root_idx))
+            got = batch.peaks(r, start=start, root_idx=root_idx, thresholds=lam,
+                              local_check=True)
+            for e, (config, g, p) in enumerate(zip(MIXED, got, full)):
+                detects = _score(p, config, lam[e], PSS_ROOTS[root_idx], start)
+                assert g == (p if detects else None)
+                if detects:
+                    detected.add(e)
+    # Each engine detects near its full-pass peak.
+    assert detected == set(range(len(MIXED)))
+
+
 @pytest.mark.parametrize("root_idx", [0, 1, 2])
 def test_selective_pass_breaks_exact_ties_like_the_full_pass(root_idx):
     # On an all-zero stream every root ties at every lag, so with a
@@ -501,18 +568,30 @@ def test_selective_pass_breaks_exact_ties_like_the_full_pass(root_idx):
        tx_root_idx=st.integers(0, 2), amplitude=st.floats(0.0, 1.0),
        offset=st.integers(-12, 12), scale=st.floats(0.0, 1.2),
        asked=st.lists(st.booleans(), min_size=7, max_size=7),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1), local_check=st.booleans())
 @example(case=(ENGINE_POOL, HALF_FRAME_LEN), root_idx=0, tx_root_idx=0,
-         amplitude=1.0, offset=3, scale=0.5, asked=[True] * 7, seed=0)  # all detect
+         amplitude=1.0, offset=3, scale=0.5, asked=[True] * 7, seed=0,
+         local_check=False)  # all detect
 @example(case=(ENGINE_POOL, 2000), root_idx=0, tx_root_idx=1, amplitude=1.0,
-         offset=-8, scale=0.0, asked=[True] * 7, seed=3)  # root 29 wins stage 2
+         offset=-8, scale=0.0, asked=[True] * 7, seed=3,
+         local_check=False)  # root 29 wins stage 2
+@example(case=(ENGINE_POOL, HALF_FRAME_LEN), root_idx=0, tx_root_idx=0,
+         amplitude=1.0, offset=3, scale=0.5, asked=[True] * 7, seed=0,
+         local_check=True)  # all detect, and the local check keeps them all
+@example(case=(ENGINE_POOL, HALF_FRAME_LEN), root_idx=0, tx_root_idx=0,
+         amplitude=1.0, offset=-12, scale=0.5, asked=[True] * 7, seed=0,
+         local_check=True)  # the peak outside every os2 window
+@example(case=(ENGINE_POOL, 255), root_idx=0, tx_root_idx=0, amplitude=1.0,
+         offset=0, scale=0.5, asked=[True] * 7, seed=1,
+         local_check=True)  # 2N points at os1 only
 def test_selective_peaks_decide_like_the_full_pass(case, root_idx, tx_root_idx,
                                                    amplitude, offset, scale,
-                                                   asked, seed):
+                                                   asked, seed, local_check):
     # A burst of one root in noise (amplitude per sample against the
     # unit noise floor), a true start near it and thresholds below and
     # above each engine's peak: an asked engine gets its full peak
-    # exactly when _score accepts that peak, and None otherwise.
+    # exactly when _score accepts that peak, and None otherwise, with
+    # or without the local check.
     configs, length = case
     rng = np.random.default_rng(seed)
     r = noise(rng, length)
@@ -525,7 +604,8 @@ def test_selective_peaks_decide_like_the_full_pass(case, root_idx, tx_root_idx,
     batch = BatchEvaluator(configs)
     full = batch.peaks(r)
     lam = [p[0] * scale if a else None for p, a in zip(full, asked)]
-    got = batch.peaks(r, start=start, root_idx=root_idx, thresholds=lam)
+    got = batch.peaks(r, start=start, root_idx=root_idx, thresholds=lam,
+                      local_check=local_check)
     for config, g, p, threshold in zip(configs, got, full, lam):
         if threshold is None:
             assert g is None
@@ -551,6 +631,63 @@ def test_detect_clean_stream(oversample):
     assert result.root == 29
     start = stream.pss_starts[0] / config.decimation
     assert abs(result.lag - start) <= DETECT_TOLERANCE[oversample]
+
+
+# Noiseless static channel, root 25, timing offset 3000 (body start
+# 3009): the error of each engine's argmax lag, in native samples, and
+# its largest metric within the tolerance window over its peak, against
+# CFO in ppm.  From 5 ppm on at 2x, and from 4 ppm on at 1x, the peak
+# sits 51 native samples early, outside every tolerance window.
+CFO_ORACLE_ENGINES = (
+    EngineConfig("mf_opt"),
+    EngineConfig("cluster", num_clusters=16),
+    EngineConfig("cluster", num_clusters=8),
+    EngineConfig("cluster", num_clusters=6),
+    EngineConfig("mf_opt", oversample=1),
+    EngineConfig("cluster", num_clusters=16, oversample=1),
+    EngineConfig("cluster", num_clusters=8, oversample=1),
+    EngineConfig("cluster", num_clusters=6, oversample=1),
+)
+CFO_ORACLE = {
+    0.0: ((0, 0, 0, 0, -1, -1, -1, -1), (1.0,) * 8),
+    2.0: ((0, 0, 0, 0, 1, 1, 1, 1), (1.0,) * 8),
+    3.0: ((0, 0, 0, 0, 1, 1, 1, 1), (1.0,) * 8),
+    4.0: ((0, 0, 0, 0, -51, -51, -51, -51),
+          (1.0, 1.0, 1.0, 1.0, 0.642, 0.668, 0.710, 0.683)),
+    5.0: ((-51,) * 8, (0.506, 0.516, 0.501, 0.491, 0.273, 0.288, 0.318, 0.279)),
+    6.0: ((-51,) * 8, (0.147, 0.164, 0.143, 0.137, 0.078, 0.086, 0.102, 0.073)),
+}
+
+
+@pytest.mark.parametrize("cfo_ppm", sorted(CFO_ORACLE))
+def test_cfo_moves_the_noiseless_peak(cfo_ppm):
+    tx = add_cyclic_prefix(pss_time_domain(TRIAL_ROOT, 128))
+    stream = embed_pss_in_halfframe(
+        tx, ChannelScenario(cfo_ppm=cfo_ppm, timing_offset=3000))
+    start = stream.pss_starts[0]
+    batch = BatchEvaluator(CFO_ORACLE_ENGINES)
+    peaks = batch.peaks(stream.samples)
+    near = batch.window_peaks(stream.samples, start, 0)
+    errors, ratios = CFO_ORACLE[cfo_ppm]
+    for config, (metric, lag, root_idx), error, ratio, window in zip(
+            CFO_ORACLE_ENGINES, peaks, errors, ratios, near):
+        assert root_idx == 0
+        assert lag * config.decimation - start == error
+        assert abs(window / metric - ratio) < 5e-4
+        # The shift lies within the local check's reach of N/2 lags.
+        assert abs(error) / config.decimation <= config.size_n / 2
+    # So the local check rules out exactly the engines whose peak left
+    # the tolerance window.
+    lam = [0.0] * len(CFO_ORACLE_ENGINES)
+    for group in batch._groups:
+        asked = list(range(len(group.idx)))
+        kept = group._local_check(stream.samples, start, 0, asked)
+        assert kept == [j for j in asked
+                        if abs(errors[group.idx[j]]) / group.decim <= group.tolerance]
+    got = batch.peaks(stream.samples, start=start, root_idx=0, thresholds=lam,
+                      local_check=True)
+    assert [g is not None for g in got] == [
+        _score(p, c, 0.0, TRIAL_ROOT, start) for p, c in zip(peaks, CFO_ORACLE_ENGINES)]
 
 
 def test_detect_respects_threshold():
