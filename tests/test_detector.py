@@ -1,5 +1,6 @@
 """Detection engines, calibration, and the experiment drivers."""
 
+import itertools
 import os
 
 import numpy as np
@@ -548,14 +549,16 @@ def test_local_check_leaves_exact_ties_to_stage_1():
 def test_selective_pass_breaks_exact_ties_like_the_full_pass(root_idx):
     # On an all-zero stream every root ties at every lag, so with a
     # negative threshold the full pass peaks at root 25, lag 0, and
-    # detects exactly where the true start is within tolerance of lag 0.
+    # detects exactly where the true start is within tolerance of lag 0,
+    # with or without the local check.
     batch = BatchEvaluator(MIXED)
     zeros = np.zeros(HALF_FRAME_LEN, dtype=complex)
     full = batch.peaks(zeros)
     assert full == [(0.0, 0, 0)] * len(MIXED)
     lam = [-1.0] * len(MIXED)
-    for start in range(30):
-        got = batch.peaks(zeros, start=start, root_idx=root_idx, thresholds=lam)
+    for start, local_check in itertools.product(range(30), [False, True]):
+        got = batch.peaks(zeros, start=start, root_idx=root_idx, thresholds=lam,
+                          local_check=local_check)
         for config, g, p in zip(MIXED, got, full):
             near = start / config.decimation <= DETECT_TOLERANCE[config.oversample]
             detects = root_idx == 0 and near
@@ -580,7 +583,7 @@ def test_selective_pass_breaks_exact_ties_like_the_full_pass(root_idx):
          local_check=True)  # all detect, and the local check keeps them all
 @example(case=(ENGINE_POOL, HALF_FRAME_LEN), root_idx=0, tx_root_idx=0,
          amplitude=1.0, offset=-12, scale=0.5, asked=[True] * 7, seed=0,
-         local_check=True)  # the peak outside every os2 window
+         local_check=True)  # the peak outside every window
 @example(case=(ENGINE_POOL, 255), root_idx=0, tx_root_idx=0, amplitude=1.0,
          offset=0, scale=0.5, asked=[True] * 7, seed=1,
          local_check=True)  # 2N points at os1 only
